@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   cli.add_int("M", 32, "window size");
   cli.add_int("L", 16, "pruning-unit (vector) length");
   cli.add_string("variant", "v3", "kernel variant: v1 | v2 | v3");
-  cli.add_string("packing", "auto", "auto | paper | always | never");
+  cli.add_string("packing", "never", "never | paper | always");
   cli.add_string("gpu", "", "also print the cost-model prediction "
                             "(a100/3090/4090; empty = skip)");
   cli.add_int("threads", 0, "worker threads (0 = hardware concurrency)");
@@ -47,8 +47,7 @@ int main(int argc, char** argv) {
   const std::string packing = cli.get_string("packing");
   opt.packing = packing == "paper"    ? PackingMode::kPaperRule
                 : packing == "always" ? PackingMode::kAlways
-                : packing == "never"  ? PackingMode::kNever
-                                      : PackingMode::kAuto;
+                                      : PackingMode::kNever;
 
   Rng rng(static_cast<std::uint64_t>(cli.get_int("seed")));
   const MatrixF A = random_matrix(m, k, rng);

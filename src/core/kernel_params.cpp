@@ -64,6 +64,12 @@ index_t derive_ks(const NMConfig& cfg, index_t ms, index_t ns,
   return ks;
 }
 
+BlockingParams cpu_blocking(const NMConfig& cfg, index_t k) {
+  BlockingParams p{.ms = 32, .ns = 64};
+  p.ks = derive_ks(cfg, p.ms, p.ns, kCpuKsBudgetBytes, k);
+  return p;
+}
+
 std::size_t block_smem_bytes(const BlockingParams& p, const NMConfig& cfg,
                              bool double_buffered) {
   const index_t ws = p.ws(cfg);

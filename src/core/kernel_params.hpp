@@ -1,10 +1,12 @@
 // Hierarchical blocking parameters (Section III-B, Table I, Eq. 4/5).
 //
-// One parameter set drives three things: the GPU-simulated kernels (block
-// = shared-memory tile, thread tile = register tile), the analytical
-// models (arithmetic intensity, CMAR, occupancy), and the CPU kernels
-// (cache blocking). ks is derived, not chosen: it is the largest k-chunk
-// whose As/Bs/Ds working set fits half the shared memory (Eq. 4).
+// One parameter struct serves two models. The GPU model — simulated
+// kernels (block = shared-memory tile, thread tile = register tile) and
+// the analytical models (arithmetic intensity, CMAR, occupancy) — takes
+// its presets from Table I, picked by problem size, with ks the largest
+// k-chunk whose As/Bs/Ds working set fits half the shared memory (Eq. 4).
+// Table I drives that GPU model only. CPU plans use cpu_blocking():
+// fixed ms/ns, ks from Eq. 5 at a fixed budget, independent of the batch.
 #pragma once
 
 #include <string>
@@ -60,6 +62,16 @@ inline constexpr index_t kMaxKs = 65536;
 index_t derive_ks(const NMConfig& cfg, index_t ms, index_t ns,
                   std::size_t smem_bytes, index_t k);
 
+/// Budget cpu_blocking() derives ks from: the A100's 192 KiB per-SM
+/// shared memory of Eq. 5, which also sizes a k-chunk for CPU L2.
+inline constexpr std::size_t kCpuKsBudgetBytes = 192 * 1024;
+
+/// CPU plan blocking for a k-deep weight under @p cfg: ms = 32, ns = 64,
+/// ks = derive_ks at kCpuKsBudgetBytes (512 at 8:32 for deep weights).
+/// It never depends on the batch m, so every batch size of one weight
+/// shares one packed form and computes each row with the same bits.
+BlockingParams cpu_blocking(const NMConfig& cfg, index_t k);
+
 /// Shared-memory bytes a block actually uses (As + Bs + Ds double-counted
 /// for the double-buffered pipeline when @p double_buffered).
 std::size_t block_smem_bytes(const BlockingParams& p, const NMConfig& cfg,
@@ -74,7 +86,8 @@ index_t registers_per_thread(const BlockingParams& p);
 void validate_params(const BlockingParams& p, const NMConfig& cfg,
                      std::size_t smem_bytes, index_t k);
 
-/// Convenience: preset for the size class, with ks derived for cfg.
+/// GPU-model convenience: the Table I preset for the size class, with ks
+/// derived for cfg. CPU plans use cpu_blocking() instead.
 BlockingParams make_params(index_t m, index_t n, index_t k,
                            const NMConfig& cfg,
                            std::size_t smem_bytes = 192 * 1024);

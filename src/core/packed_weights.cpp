@@ -112,8 +112,9 @@ PackedWeights PackedWeights::build(const CompressedNM& B, index_t ks,
             : nullptr;
     const std::size_t tile_bytes =
         static_cast<std::size_t>(pw.value_stride_) * sizeof(float);
-    // Partition by n-block, mirroring spmm_blocked's nc partitioning:
-    // tiles are nb-major, so each worker touches one contiguous range.
+    // Partition by n-block, mirroring spmm_blocked's n-block-major tile
+    // runs: tiles are nb-major, so each worker touches one contiguous
+    // range.
     parallel_for(pool, 0, pw.num_nblocks_, [&](index_t nb_lo, index_t nb_hi) {
       numa::first_touch_zero(
           reinterpret_cast<char*>(values) +

@@ -11,7 +11,6 @@ std::size_t hash_value(const SpmmOptions& o) {
   std::size_t h = 0;
   hash_combine(h, static_cast<std::size_t>(o.variant));
   hash_combine(h, static_cast<std::size_t>(o.packing));
-  hash_combine(h, o.smem_bytes);
   hash_combine(h, o.rescale ? 1u : 0u);
   hash_combine(h, o.num_threads);
   hash_combine(h, hash_value(o.epilogue));
@@ -58,27 +57,20 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
                                : ThreadPool::shared(options.num_threads);
 
   const CompressedNM& w = *plan.weights_;
-  plan.params_ = options.params.value_or(
-      make_params(m, w.cols, w.orig_rows, w.config, options.smem_bytes));
+  plan.params_ = options.params.value_or(cpu_blocking(w.config, w.orig_rows));
   if (plan.params_.ks == 0) {
     plan.params_.ks = derive_ks(w.config, plan.params_.ms, plan.params_.ns,
-                                options.smem_bytes, w.orig_rows);
+                                kCpuKsBudgetBytes, w.orig_rows);
   }
-  validate_params(plan.params_, w.config, options.smem_bytes, w.orig_rows);
+  // The CPU kernels have no shared-memory cap: only the structural
+  // constraints (ks % M, kMaxKs, tile divisibility) apply.
+  validate_params(plan.params_, w.config, static_cast<std::size_t>(-1),
+                  w.orig_rows);
 
-  switch (options.packing) {
-    case PackingMode::kAlways: plan.use_packing_ = true; break;
-    case PackingMode::kNever: plan.use_packing_ = false; break;
-    case PackingMode::kPaperRule:
-      plan.use_packing_ = w.config.is_high_sparsity();
-      break;
-    case PackingMode::kAuto:
-      // CPU calibration: hardware caches already deliver the footprint
-      // reduction packing buys on the GPU, so the non-packed path wins
-      // at every sparsity level (measured in bench_ablation).
-      plan.use_packing_ = false;
-      break;
-  }
+  plan.use_packing_ =
+      options.packing == PackingMode::kAlways ||
+      (options.packing == PackingMode::kPaperRule &&
+       w.config.is_high_sparsity());
   // V1 never packs; V2 is defined as the packing kernel.
   if (options.variant == KernelVariant::kV1 ||
       options.variant == KernelVariant::kReference) {

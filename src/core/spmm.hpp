@@ -38,23 +38,21 @@
 namespace nmspmm {
 
 /// Packing strategy selection (Section III-C1).
-///  - kAuto: platform-calibrated sparsity-aware choice. On CPU the cache
-///    hierarchy already skips unused lines, so explicit packing never
-///    recovers its gather cost and kAuto selects the non-packed path
-///    (see EXPERIMENTS.md, substrate differences).
+///  - kNever (default): the non-packed path. On CPU the cache hierarchy
+///    already skips unused lines, so explicit packing never recovers its
+///    gather cost (measured in bench_ablation).
 ///  - kPaperRule: the paper's GPU rule — pack above the 70% threshold.
-///  - kAlways / kNever: force a path (ablations, testing).
-enum class PackingMode { kAuto, kPaperRule, kAlways, kNever };
+///  - kAlways: force the packed path (ablations, testing).
+enum class PackingMode { kNever, kPaperRule, kAlways };
 
 struct SpmmOptions {
   /// kV3 is the full NM-SpMM; kV1/kV2 exist for the step-wise ablation.
   KernelVariant variant = KernelVariant::kV3;
-  PackingMode packing = PackingMode::kAuto;
-  /// Override the Table I preset (ks of 0 is derived from Eq. 4).
+  PackingMode packing = PackingMode::kNever;
+  /// Override the CPU blocking (ks of 0 is derived from Eq. 5). Unset,
+  /// the plan uses cpu_blocking(): fixed ms/ns and a ks that depends on
+  /// the weights alone, so every batch size shares one packed form.
   std::optional<BlockingParams> params;
-  /// Shared-memory budget used when deriving ks (defaults to the A100's
-  /// 192 KiB per-SM shared memory, which also matches CPU L2 blocking).
-  std::size_t smem_bytes = 192 * 1024;
   /// Apply the Eq. 1 M/N rescale (off for magnitude-pruned inference).
   bool rescale = false;
   /// Worker threads for execute(): 0 = hardware concurrency (the shared

@@ -162,13 +162,13 @@ void run_segment(index_t wb, APanel a, const float* bpack, index_t ldb,
 /// accumulating, fusing the former C zero-fill pass into the first
 /// micro-kernel stores.
 ///
-/// Parallelism: a null @p pool runs the nest serially. With a pool, the
-/// driver picks the partitioning axis — m-blocks when there are enough
-/// of them to occupy every worker (large batches), otherwise whole
-/// n-blocks per worker (small batches, wide outputs: the serving shape).
-/// Either way each worker writes a disjoint region of C and computes
-/// every element with the same accumulation order as the serial nest, so
-/// output is bit-exact regardless of thread count.
+/// Parallelism: one owner-computes decomposition. The (n-block, m-block)
+/// tile list, n-block-major, is split into one contiguous run per worker
+/// (a null @p pool runs the whole list, i.e. the serial nest). A run
+/// executes every k-chunk of its tiles, one n-block segment at a time,
+/// so each C element is written by exactly one worker in the serial
+/// accumulation order: output is bit-exact at every thread count, and
+/// the call takes a single pool barrier.
 template <class Policy>
 void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
                   const BlockingParams& prm, const PackedWeights& packed,
@@ -272,40 +272,23 @@ void spmm_blocked(ConstViewF A, const CompressedNM& B, ViewF C,
 
   const std::size_t a_scratch_floats =
       static_cast<std::size_t>(prm.ms * lda);
-  const index_t workers = pool != nullptr ? pool->size() : 1;
-  if (workers > 1 && num_mblocks < workers && num_nblocks > 1) {
-    // nc partitioning: each worker owns whole n-blocks. With resident
-    // weights there is no Bs staging at all — per-worker scratch is just
-    // the (thread-local, reused across calls) A panel.
-    parallel_for(pool, 0, num_nblocks, [&](index_t nb_lo, index_t nb_hi) {
-      std::vector<float>& a_scratch = worker_a_scratch(a_scratch_floats);
-      for (index_t nb = nb_lo; nb < nb_hi; ++nb) {
-        const index_t j0 = nb * prm.ns;
-        const index_t jb = std::min(prm.ns, n - j0);
-        for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
-          run_tile(make_tile(nb, chunk), j0, jb, 0, num_mblocks, a_scratch);
-        }
+  parallel_for(pool, 0, num_nblocks * num_mblocks,
+               [&](index_t lo, index_t hi) {
+    // A staging is the executing thread's reusable scratch, so the
+    // steady-state serving path performs zero per-call heap allocation.
+    std::vector<float>& a_scratch = worker_a_scratch(a_scratch_floats);
+    for (index_t tile = lo; tile < hi;) {
+      const index_t nb = tile / num_mblocks;
+      const index_t mb_lo = tile % num_mblocks;
+      const index_t mb_hi = std::min(num_mblocks, mb_lo + (hi - tile));
+      const index_t j0 = nb * prm.ns;
+      const index_t jb = std::min(prm.ns, n - j0);
+      for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
+        run_tile(make_tile(nb, chunk), j0, jb, mb_lo, mb_hi, a_scratch);
       }
-    });
-    return;
-  }
-
-  // mc partitioning (or serial): m-blocks of each tile split across
-  // workers, each reading the same resident Bs tile. A staging is the
-  // executing thread's reusable scratch, so the steady-state serving
-  // path performs zero per-call heap allocation.
-  for (index_t nb = 0; nb < num_nblocks; ++nb) {
-    const index_t j0 = nb * prm.ns;
-    const index_t jb = std::min(prm.ns, n - j0);
-    for (index_t chunk = 0; chunk < num_chunks; ++chunk) {
-      const TileCtx t = make_tile(nb, chunk);
-      parallel_for(pool, 0, num_mblocks,
-                   [&](index_t mb_lo, index_t mb_hi) {
-        run_tile(t, j0, jb, mb_lo, mb_hi,
-                 worker_a_scratch(a_scratch_floats));
-      });
+      tile += mb_hi - mb_lo;
     }
-  }
+  });
 }
 
 void check_kind(const PackedWeights& packed, PackedWeights::IndexKind kind,

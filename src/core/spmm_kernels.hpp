@@ -40,11 +40,11 @@ PackedWeights::IndexKind packed_kind_for(KernelVariant variant,
                                          bool use_packing);
 
 // Every kernel takes an optional ThreadPool. A null pool runs the exact
-// serial loop nest (the bit-exact reference ordering); a pool partitions
-// the outer block loops — m-blocks when the batch provides enough of
-// them, n-blocks for the small-m serving shapes where m-blocks alone
-// cannot feed every worker. Both partitionings preserve the per-element
-// accumulation order, so results are bit-exact across thread counts.
+// serial loop nest (the bit-exact reference ordering); a pool splits the
+// n-block-major (n-block, m-block) tile list into one contiguous run per
+// worker, each run carrying its tiles through every k-chunk. Every C
+// element keeps the serial accumulation order, so results are bit-exact
+// across thread counts.
 //
 // Every kernel also takes an optional epilogue (core/epilogue.hpp):
 // when @p epilogue is active, the final k-chunk's stores apply

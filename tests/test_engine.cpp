@@ -231,15 +231,9 @@ TEST(EngineCache, EvictingLastPlanOfABucketReleasesItsPackedWeights) {
   auto B1 = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
   auto B2 = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
-  // Pin the blocking so both buckets of B1 share one packed form.
-  SpmmOptions spmm_opt;
-  BlockingParams params = table1_preset(SizeClass::kSmall);
-  params.ks = 32;
-  spmm_opt.params = params;
-
   const std::uint64_t builds0 = PackedWeights::build_count();
-  NMSPMM_ASSERT_OK(engine.plan_for(16, B1, spmm_opt).status());
-  NMSPMM_ASSERT_OK(engine.plan_for(64, B1, spmm_opt).status());
+  NMSPMM_ASSERT_OK(engine.plan_for(16, B1).status());
+  NMSPMM_ASSERT_OK(engine.plan_for(64, B1).status());
   EXPECT_EQ(PackedWeights::build_count() - builds0, 1u)
       << "two buckets of one weight matrix must share a single pack";
   EXPECT_EQ(opt.weight_store->stats().leases, 1u);
@@ -248,8 +242,8 @@ TEST(EngineCache, EvictingLastPlanOfABucketReleasesItsPackedWeights) {
 
   // Evict bucket 16, then bucket 64 — the *last* plan holding B1's
   // packed form. Its lease must release the bytes, not leak them.
-  NMSPMM_ASSERT_OK(engine.plan_for(16, B2, spmm_opt).status());
-  NMSPMM_ASSERT_OK(engine.plan_for(64, B2, spmm_opt).status());
+  NMSPMM_ASSERT_OK(engine.plan_for(16, B2).status());
+  NMSPMM_ASSERT_OK(engine.plan_for(64, B2).status());
   EXPECT_EQ(engine.cache_stats().size, 2u);
   {
     const auto stats = opt.weight_store->stats();
@@ -260,10 +254,42 @@ TEST(EngineCache, EvictingLastPlanOfABucketReleasesItsPackedWeights) {
 
   // Re-planning B1 re-packs exactly once, shared again across buckets.
   const std::uint64_t builds1 = PackedWeights::build_count();
-  NMSPMM_ASSERT_OK(engine.plan_for(16, B1, spmm_opt).status());
-  NMSPMM_ASSERT_OK(engine.plan_for(64, B1, spmm_opt).status());
+  NMSPMM_ASSERT_OK(engine.plan_for(16, B1).status());
+  NMSPMM_ASSERT_OK(engine.plan_for(64, B1).status());
   EXPECT_EQ(PackedWeights::build_count() - builds1, 1u)
       << "re-plan after eviction must re-pack exactly once";
+}
+
+TEST(EngineCache, EveryBatchBucketSharesOnePackedForm) {
+  // The CPU blocking depends on the weights alone, so every batch bucket
+  // of one weight interns the same PackedWeights, and a row's output
+  // bits do not depend on the batch it rode in.
+  Rng rng(608);
+  const index_t k = 4096, n = 4096;
+  const auto B = std::make_shared<const CompressedNM>(
+      random_compressed(k, n, NMConfig{8, 32, 16}, rng));
+  EngineOptions opt;
+  opt.weight_store = std::make_shared<mem::WeightStore>();
+  Engine engine(opt);
+
+  const std::uint64_t builds0 = PackedWeights::build_count();
+  for (const index_t m : {1, 16, 128, 2048, 4096}) {
+    NMSPMM_ASSERT_OK(engine.plan_for(m, B).status());
+  }
+  EXPECT_EQ(engine.cache_stats().size, 4u);  // m = 1 and 16 share a bucket
+  EXPECT_EQ(opt.weight_store->stats().leases, 1u);
+  EXPECT_EQ(PackedWeights::build_count() - builds0, 1u);
+
+  // Random (non-integer) values, so a different k-chunking would round
+  // differently.
+  const MatrixF A = random_matrix(2048, k, rng);
+  MatrixF c_small(4, n), c_large(2048, n);
+  NMSPMM_ASSERT_OK(
+      engine.spmm(A.cview().block(0, 0, 4, k), B, c_small.view()));
+  NMSPMM_ASSERT_OK(engine.spmm(A.view(), B, c_large.view()));
+  EXPECT_EQ(max_abs_diff(c_small.cview(),
+                         c_large.cview().block(0, 0, 4, n)),
+            0.0);
 }
 
 TEST(EngineCache, PlanOutlivesEviction) {
@@ -364,7 +390,7 @@ TEST(EngineParallel, OneVsManyThreadsBitExactAllVariants) {
       KernelVariant variant;
       PackingMode packing;
     };
-    for (const Case c : {Case{KernelVariant::kV1, PackingMode::kAuto},
+    for (const Case c : {Case{KernelVariant::kV1, PackingMode::kNever},
                          Case{KernelVariant::kV2, PackingMode::kAlways},
                          Case{KernelVariant::kV3, PackingMode::kAlways},
                          Case{KernelVariant::kV3, PackingMode::kNever}}) {

@@ -172,6 +172,14 @@ TEST(Epilogue, ApplyEpilogueMatchesHandRolled) {
   }
 }
 
+/// 32 x 32 blocks with ks derived at a 32 KiB budget: several k-chunks
+/// once k reaches a few hundred.
+BlockingParams small_ks_params(const NMConfig& cfg, index_t k) {
+  BlockingParams p = table1_preset(SizeClass::kSmall);
+  p.ks = derive_ks(cfg, p.ms, p.ns, 32 * 1024, k);
+  return p;
+}
+
 TEST(Epilogue, FusedMatchesUnfusedAcrossVariantsThreadsAndShapes) {
   Rng rng(42);
   const NMConfig cfg{2, 4, 16};
@@ -188,7 +196,7 @@ TEST(Epilogue, FusedMatchesUnfusedAcrossVariantsThreadsAndShapes) {
         SpmmOptions opt;
         opt.variant = variant;
         opt.num_threads = threads;
-        opt.smem_bytes = 32 * 1024;  // small ks: several k-chunks at k=512
+        opt.params = small_ks_params(cfg, shape.k);
         for (const EpilogueSpec& spec : all_specs()) {
           opt.epilogue = spec;
           const MatrixF want = unfused_expect(p, opt, spec);
@@ -217,7 +225,7 @@ TEST(Epilogue, FusedMatchesUnfusedOnBothV3PackingPaths) {
   for (const PackingMode packing : {PackingMode::kAlways, PackingMode::kNever}) {
     SpmmOptions opt;
     opt.packing = packing;
-    opt.smem_bytes = 32 * 1024;
+    opt.params = small_ks_params(cfg, p.weights->orig_rows);
     opt.epilogue = spec;
     const MatrixF want = unfused_expect(p, opt, spec);
     const auto plan = SpmmPlan::create(21, p.weights, opt);
@@ -232,8 +240,7 @@ TEST(Epilogue, CompatKernelEntryPointsApplyTheEpilogue) {
   Rng rng(44);
   const NMConfig cfg{2, 4, 8};
   Problem p = make_problem(19, 128, 88, cfg, rng);
-  BlockingParams params = table1_preset(SizeClass::kSmall);
-  params.ks = derive_ks(cfg, params.ms, params.ns, 32 * 1024, 128);
+  const BlockingParams params = small_ks_params(cfg, 128);
   EpilogueSpec spec;
   spec.bias = true;
   spec.act = Activation::kGelu;

@@ -197,38 +197,51 @@ INSTANTIATE_TEST_SUITE_P(Shapes, KernelSweep,
                          });
 
 // Kernel-level pool plumbing: explicit pools of several sizes must give
-// the exact serial result on both partitioning axes (many m-blocks for
-// the mc split, a single m-block with many n-blocks for the nc split).
+// the exact serial result on both axes of the (n-block, m-block) tile
+// list. With 32 x 32 blocks and two k-chunks, the shapes below cover
+// many m-blocks per n-block, a single m-block with many n-blocks, and
+// worker runs that start mid-n-block and cross an n-block boundary with
+// a ragged last tile (e.g. 96 x 160 is 5 x 3 tiles: pool 2 splits them
+// 8 + 7, pool 3 gives 5-tile runs; 80 x 200 is 7 x 3 tiles with a
+// 16-row, 8-column last tile). Values are non-integer, so any change to
+// the per-element accumulation order would change the bits.
 TEST(SpmmKernels, ExplicitPoolBitExactOnBothPartitionAxes) {
   Rng rng(10);
   const NMConfig cfg{2, 8, 16};
   struct Shape {
     index_t m, k, n;
   };
-  for (const Shape s : {Shape{256, 128, 64},    // mc-partitioned
-                        Shape{16, 128, 512}}) { // nc-partitioned
-    const MatrixF A = random_int_matrix(s.m, s.k, rng);
-    const CompressedNM B = random_compressed_int(s.k, s.n, cfg, rng);
+  for (const Shape s : {Shape{256, 128, 64}, Shape{16, 128, 512},
+                        Shape{96, 128, 160}, Shape{80, 136, 200}}) {
+    const MatrixF A = random_matrix(s.m, s.k, rng);
+    const CompressedNM B = random_compressed(s.k, s.n, cfg, rng);
     const BlockingParams p = small_params(cfg, s.k);
     const ColInfo info = build_col_info(B, p.ks, p.ns);
     const auto resolved = resolve_indices(B);
+    ASSERT_GT(ceil_div(s.k, p.ks), 1) << "want several k-chunks";
 
-    MatrixF serial(s.m, s.n);
-    spmm_v3(A.view(), B, serial.view(), p, false, nullptr, &resolved,
-            nullptr);
-    for (const unsigned workers : {2u, 5u}) {
-      ThreadPool pool(workers);
+    // Every output is poisoned first, so a tile no run covers shows up.
+    auto run = [&](KernelVariant v, ThreadPool* pool) {
       MatrixF C(s.m, s.n);
-      spmm_v1(A.view(), B, C.view(), p, &pool);
-      const MatrixF expect = run_reference(A.view(), B);
-      EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
-          << "V1 pool=" << workers;
-      spmm_v2(A.view(), B, C.view(), p, info, &pool);
-      EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
-          << "V2 pool=" << workers;
-      spmm_v3(A.view(), B, C.view(), p, false, nullptr, &resolved, &pool);
-      EXPECT_EQ(max_abs_diff(serial.cview(), C.cview()), 0.0)
-          << "V3 pool=" << workers;
+      C.fill(1e30f);
+      if (v == KernelVariant::kV1) {
+        spmm_v1(A.view(), B, C.view(), p, pool);
+      } else if (v == KernelVariant::kV2) {
+        spmm_v2(A.view(), B, C.view(), p, info, pool);
+      } else {
+        spmm_v3(A.view(), B, C.view(), p, false, nullptr, &resolved, pool);
+      }
+      return C;
+    };
+    for (const KernelVariant v :
+         {KernelVariant::kV1, KernelVariant::kV2, KernelVariant::kV3}) {
+      const MatrixF serial = run(v, nullptr);
+      for (const unsigned workers : {2u, 3u, 5u}) {
+        ThreadPool pool(workers);
+        EXPECT_EQ(max_abs_diff(serial.cview(), run(v, &pool).cview()), 0.0)
+            << to_string(v) << " pool=" << workers << " m=" << s.m
+            << " n=" << s.n;
+      }
     }
   }
 }

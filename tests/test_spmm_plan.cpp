@@ -1,6 +1,6 @@
-// Public SpmmPlan API: auto-dispatch (variant, packing threshold, Table I
-// preset selection), correctness through the plan, rescale option, and
-// precondition failures (reported as Status, not thrown).
+// Public SpmmPlan API: auto-dispatch (variant, packing threshold,
+// batch-independent CPU blocking), correctness through the plan, rescale
+// option, and precondition failures (reported as Status, not thrown).
 #include <gtest/gtest.h>
 
 #include "core/nmspmm.hpp"
@@ -40,9 +40,9 @@ TEST(SpmmPlan, PaperRulePacksAbove70Percent) {
   EXPECT_TRUE(SpmmPlan::create(64, high, paper).uses_packing());
 }
 
-TEST(SpmmPlan, AutoPackingIsPlatformCalibrated) {
+TEST(SpmmPlan, DefaultDoesNotPack) {
   // On the CPU substrate the non-packed path wins at every sparsity, so
-  // kAuto never packs (see PackingMode documentation).
+  // the default (kNever) does not pack even at 87.5% sparsity.
   Rng rng(42);
   auto high = std::make_shared<const CompressedNM>(
       random_compressed_int(64, 64, kSparsity875, rng));
@@ -131,15 +131,19 @@ TEST(SpmmPlan, RescaleAppliesMOverN) {
       EXPECT_FLOAT_EQ(scaled(i, j), 2.0f * plain(i, j));
 }
 
-TEST(SpmmPlan, PresetTracksProblemSize) {
+TEST(SpmmPlan, DefaultBlockingIgnoresBatchSize) {
+  // CPU blocking comes from the weights alone: ms = 32, ns = 64 and the
+  // Eq. 5 ks at 192 KiB (512 at 8:32), at every planned batch size.
   Rng rng(47);
-  const CompressedNM small = random_compressed_int(512, 512, kSparsity50, rng);
-  EXPECT_EQ(SpmmPlan::create(512, small).params().ms, 32);
-  // A large problem picks the large preset (64 x 128 blocks).
-  const CompressedNM big = random_compressed_int(4096, 4096, kSparsity50, rng);
-  const auto plan = SpmmPlan::create(4096, big);
-  EXPECT_EQ(plan.params().ms, 64);
-  EXPECT_EQ(plan.params().ns, 128);
+  const auto big = std::make_shared<const CompressedNM>(
+      random_compressed_int(4096, 256, NMConfig{8, 32, 16}, rng));
+  for (const index_t m : {1, 512, 4096}) {
+    const BlockingParams p = SpmmPlan::create(m, big).params();
+    EXPECT_EQ(p, cpu_blocking(big->config, big->orig_rows)) << "m=" << m;
+    EXPECT_EQ(p.ms, 32);
+    EXPECT_EQ(p.ns, 64);
+    EXPECT_EQ(p.ks, 512);
+  }
 }
 
 TEST(SpmmPlan, PackingRatioReportedOnlyWhenPacking) {
