@@ -36,7 +36,7 @@ CATEGORIES = {"decode", "prefill", "serve", "mem", "attn"}
 # stage reconciliation below.
 WINDOW_NAMES = {"repack", "attn", "kv_append"}
 FLUSHES = {"full", "timeout", "slo", "shutdown", "-"}
-LANES = {"-", "bypass", "coalesce", "split"}
+LANES = {"-", "bypass", "coalesce"}
 TARGET_RE = re.compile(r"^0x[0-9a-f]+$")
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABELS_RE = re.compile(

@@ -85,13 +85,8 @@ StatusOr<std::shared_ptr<const SpmmPlan>> Engine::plan_for(
   // The engine's pool (or its serial mode) decides the threading, not
   // the per-call option — normalize it so it can't fragment the cache,
   // and so a serial engine's null pool_ stays serial inside the plan.
-  // Residency is engine policy for the same reason. One exception: an
-  // explicit num_threads == 1 requests a strictly serial plan. The
-  // Server's split execute policy runs several such products
-  // concurrently on the engine pool; a pool-parallel plan there would
-  // nest run_chunks waits inside pool workers, which can deadlock once
-  // every worker is blocked waiting for queued chunks.
-  if (options.num_threads != 1) options.num_threads = normalized_num_threads();
+  // Residency is engine policy for the same reason.
+  options.num_threads = normalized_num_threads();
   options.residency = options_.residency;
   if (options.residency == mem::ResidencyMode::kPackedOnly &&
       options.variant == KernelVariant::kReference) {
@@ -126,9 +121,8 @@ StatusOr<std::shared_ptr<const SpmmPlan>> Engine::plan_for(
   // dropped in favor of the first insert.
   std::shared_ptr<const SpmmPlan> plan;
   try {
-    plan = std::make_shared<const SpmmPlan>(SpmmPlan::create(
-        key.bucket_m, B, options,
-        options.num_threads == 1 ? nullptr : pool_, store_));
+    plan = std::make_shared<const SpmmPlan>(
+        SpmmPlan::create(key.bucket_m, B, options, pool_, store_));
   } catch (const CheckError& e) {
     return Status::InvalidArgument(e.what());
   } catch (const std::bad_alloc& e) {

@@ -156,11 +156,10 @@ class Engine {
   /// (the engine's pool or serial mode decides threading, not the
   /// caller's option): 1 when strictly serial, else 0. Callers building
   /// keys that must match the plan cache — the serving layer's batch
-  /// groups — normalize through this so the rules cannot diverge.
-  /// Exception: a call passing an explicit num_threads == 1 gets a
-  /// strictly serial plan even on a pooled engine (cached under its own
-  /// key) — the building block of the Server's split execute policy,
-  /// which runs several serial products concurrently on the pool.
+  /// groups — normalize through this so the rules cannot diverge. Every
+  /// SpmmOptions::num_threads value folds into it, so a pooled engine
+  /// caches one plan per (weights, bucket, options) whatever the caller
+  /// passed.
   [[nodiscard]] unsigned normalized_num_threads() const {
     return options_.num_threads == 1 ? 1u : 0u;
   }

@@ -73,7 +73,7 @@ void append_json_group(std::string& out, const Server::GroupStats& g) {
       "{\"requests\":%llu,\"rows\":%llu,\"batches\":%llu,"
       "\"full_flushes\":%llu,\"timeout_flushes\":%llu,\"slo_flushes\":%llu,"
       "\"bypassed\":%llu,\"errors\":%llu,\"slo_violations\":%llu,"
-      "\"split_batches\":%llu,\"max_queue_depth\":%llu}",
+      "\"max_queue_depth\":%llu}",
       static_cast<unsigned long long>(g.requests),
       static_cast<unsigned long long>(g.rows),
       static_cast<unsigned long long>(g.batches),
@@ -83,7 +83,6 @@ void append_json_group(std::string& out, const Server::GroupStats& g) {
       static_cast<unsigned long long>(g.bypassed),
       static_cast<unsigned long long>(g.errors),
       static_cast<unsigned long long>(g.slo_violations),
-      static_cast<unsigned long long>(g.split_batches),
       static_cast<unsigned long long>(g.max_queue_depth));
   out += buf;
 }
@@ -178,8 +177,6 @@ std::string render_prometheus(const Server::Stats& stats,
           stats.totals.bypassed);
   counter(out, p, "errors_total", "Requests resolved non-OK",
           stats.totals.errors);
-  counter(out, p, "split_batches_total", "Batches run as concurrent serial SpMMs",
-          stats.totals.split_batches);
   counter(out, p, "ring_stalls_total", "Submits that found a full ring",
           stats.ring_stalls);
   counter(out, p, "shed_requests_total", "Requests refused by admission",

@@ -79,8 +79,6 @@ const char* to_string(ExecLane lane) {
       return "bypass";
     case ExecLane::kCoalesce:
       return "coalesce";
-    case ExecLane::kSplit:
-      return "split";
   }
   return "?";
 }

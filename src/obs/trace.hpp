@@ -3,14 +3,14 @@
 //
 // Aggregate telemetry (serve/telemetry.hpp) answers "what is the p99";
 // it cannot answer "which requests were slow and where" — ring stall?
-// flush wait? split-lane execute? a repack-on-demand in the middle of
-// the batch? A trace answers that: every sampled request leaves one
+// flush wait? a slow execute? a repack-on-demand in the middle of the
+// batch? A trace answers that: every sampled request leaves one
 // span per life-cycle stage
 //
 //   submit -> queue -> gather -> execute -> total
 //
 // each carrying the serving shard, the batch's FlushReason, the execute
-// lane (bypass / coalesce / split), and the request class; WeightStore
+// lane (bypass / coalesce), and the request class; WeightStore
 // repack-on-demand events land as their own spans inside the execute
 // window. Load the dump in chrome://tracing or https://ui.perfetto.dev.
 //
@@ -64,12 +64,13 @@ inline constexpr int kNumSpanKinds = static_cast<int>(SpanKind::kCount);
 
 const char* to_string(SpanKind kind);
 
-/// How the request's batch was executed (ExecutePolicy resolution).
+/// Where the request was executed. Every dispatched batch — one request
+/// or many — runs as one pooled execution, so there are two lanes.
 enum class ExecLane : std::uint8_t {
-  kNone = 0,  ///< not an execute-bearing span (or unknown)
+  kNone = 0,  ///< not an execute-bearing span (or never executed)
   kBypass,    ///< served synchronously on the submitting thread
-  kCoalesce,  ///< gathered into one pooled SpMM / ModelPlan::run
-  kSplit,     ///< concurrent serial lane over the shared pool
+  kCoalesce,  ///< dispatched: one SpMM / ModelPlan::run /
+              ///< DecoderPlan::decode over the whole batch
 };
 
 const char* to_string(ExecLane lane);

@@ -23,7 +23,6 @@ void accumulate(Server::GroupStats& into, const Server::GroupStats& from) {
   into.bypassed += from.bypassed;
   into.errors += from.errors;
   into.slo_violations += from.slo_violations;
-  into.split_batches += from.split_batches;
   into.max_queue_depth = std::max(into.max_queue_depth, from.max_queue_depth);
 }
 
@@ -96,12 +95,57 @@ std::uint8_t trace_cls_byte(serve::RequestClass cls) {
   return static_cast<std::uint8_t>(cls);
 }
 
+// complete() records a stage's span under the stage's own index.
+static_assert(static_cast<int>(obs::SpanKind::kSubmit) ==
+                      static_cast<int>(serve::Stage::kSubmit) &&
+                  static_cast<int>(obs::SpanKind::kTotal) ==
+                      static_cast<int>(serve::Stage::kTotal),
+              "obs::SpanKind must mirror serve::Stage");
+
+/// An already-resolved future: how a request rejected before it was
+/// accepted answers its caller.
+std::future<Status> ready(Status status) {
+  std::promise<Status> done;
+  done.set_value(std::move(status));
+  return done.get_future();
+}
+
 }  // namespace
+
+const void* Server::Target::id() const {
+  return std::visit([](const auto& p) -> const void* { return p.get(); },
+                    owner);
+}
+
+Status Server::Target::run(Engine& engine, ConstViewF a,
+                           const std::uint64_t* seq_ids, ViewF c,
+                           Status* row_status) const {
+  struct Run {
+    Engine& engine;
+    const SpmmOptions& options;
+    ConstViewF a;
+    const std::uint64_t* seq_ids;
+    ViewF c;
+    Status* row_status;
+
+    Status operator()(const std::shared_ptr<const CompressedNM>& w) const {
+      return engine.spmm(a, w, c, options);
+    }
+    Status operator()(const std::shared_ptr<model::ModelPlan>& p) const {
+      return p->run(a, c);
+    }
+    // DecoderPlan serializes internally, so a bypass racing the
+    // dispatcher on the same plan is safe.
+    Status operator()(const std::shared_ptr<model::DecoderPlan>& p) const {
+      return p->decode(a, seq_ids, c, row_status);
+    }
+  };
+  return std::visit(Run{engine, options, a, seq_ids, c, row_status}, owner);
+}
 
 std::size_t Server::GroupKeyHash::operator()(
     const GroupKey& k) const noexcept {
   std::size_t h = std::hash<const void*>{}(k.target);
-  hash_combine(h, static_cast<unsigned>(k.kind));
   hash_combine(h, hash_value(k.options));
   return h;
 }
@@ -117,7 +161,6 @@ Server::GroupStats Server::GroupCounters::snapshot() const {
   s.bypassed = bypassed.load(std::memory_order_relaxed);
   s.errors = errors.load(std::memory_order_relaxed);
   s.slo_violations = slo_violations.load(std::memory_order_relaxed);
-  s.split_batches = split_batches.load(std::memory_order_relaxed);
   s.max_queue_depth = max_queue_depth.load(std::memory_order_relaxed);
   return s;
 }
@@ -143,7 +186,6 @@ Server::Server(ServerOptions options)
     : options_(options), engine_(options.engine) {
   if (options_.max_batch_rows < 1) options_.max_batch_rows = 1;
   if (options_.max_groups < 1) options_.max_groups = 1;
-  if (options_.split_min_avg_rows < 1) options_.split_min_avg_rows = 1;
   if (options_.num_shards == 0) {
     // Auto: half the hardware threads for dispatch, clamped to [1, 4] —
     // the engine pool is the bottleneck long before 4 dispatchers are.
@@ -202,82 +244,67 @@ std::future<Status> Server::submit(ConstViewF A,
                                    ViewF C, SpmmOptions options,
                                    std::uint64_t deadline_us) {
   const auto submitted = Clock::now();
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
   // Per-request validation: a malformed submission resolves immediately
   // and can never poison the batch it would have joined.
   if (B == nullptr) {
-    done.set_value(Status::InvalidArgument("weights shared_ptr is null"));
-    return result;
+    return ready(Status::InvalidArgument("weights shared_ptr is null"));
   }
   if (A.rows() < 1) {
-    done.set_value(Status::InvalidArgument("activation batch is empty"));
-    return result;
+    return ready(Status::InvalidArgument("activation batch is empty"));
   }
   if (A.cols() != B->orig_rows) {
     std::ostringstream os;
     os << "A depth " << A.cols() << " != weights k " << B->orig_rows;
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
+    return ready(Status::InvalidArgument(os.str()));
   }
   if (C.rows() != A.rows() || C.cols() != B->cols) {
     std::ostringstream os;
     os << "C is " << C.rows() << "x" << C.cols() << " but must be "
        << A.rows() << "x" << B->cols;
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
+    return ready(Status::InvalidArgument(os.str()));
   }
   if (options.epilogue.active()) {
-    done.set_value(Status::InvalidArgument(
+    return ready(Status::InvalidArgument(
         "batched submissions cannot carry epilogue operands; submit whole "
         "FFN blocks through submit_ffn instead"));
-    return result;
   }
   // Requests batch only when one plan serves them all: normalize the
   // thread count exactly as the engine does for its cache key.
   options.num_threads = engine_.normalized_num_threads();
-  GroupKey key{B.get(), TargetKind::kSpmm, options};
-  return enqueue(std::move(key), std::move(B), nullptr, nullptr, A, C,
-                 deadline_us, submitted, std::move(done), std::move(result));
+  Target target{B, options, B->orig_rows, B->cols};
+  return enqueue(std::move(target), A, C, deadline_us, submitted);
 }
 
 std::future<Status> Server::submit_ffn(ConstViewF A,
                                        std::shared_ptr<model::ModelPlan> plan,
                                        ViewF out, std::uint64_t deadline_us) {
   const auto submitted = Clock::now();
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
   if (plan == nullptr) {
-    done.set_value(Status::InvalidArgument("model plan shared_ptr is null"));
-    return result;
+    return ready(Status::InvalidArgument("model plan shared_ptr is null"));
   }
   if (A.rows() < 1) {
-    done.set_value(Status::InvalidArgument("activation batch is empty"));
-    return result;
+    return ready(Status::InvalidArgument("activation batch is empty"));
   }
   if (A.cols() != plan->hidden_in()) {
     std::ostringstream os;
     os << "A depth " << A.cols() << " != model hidden " << plan->hidden_in();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
+    return ready(Status::InvalidArgument(os.str()));
   }
   if (out.rows() != A.rows() || out.cols() != plan->hidden_out()) {
     std::ostringstream os;
     os << "out is " << out.rows() << "x" << out.cols() << " but must be "
        << A.rows() << "x" << plan->hidden_out();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
+    return ready(Status::InvalidArgument(os.str()));
   }
   if (A.rows() > plan->planned_tokens()) {
     std::ostringstream os;
     os << "request of " << A.rows() << " tokens exceeds the plan's "
        << plan->planned_tokens() << "-token budget";
-    done.set_value(Status::FailedPrecondition(os.str()));
-    return result;
+    return ready(Status::FailedPrecondition(os.str()));
   }
-  GroupKey key{plan.get(), TargetKind::kFfn, SpmmOptions{}};
-  return enqueue(std::move(key), nullptr, std::move(plan), nullptr, A, out,
-                 deadline_us, submitted, std::move(done), std::move(result));
+  Target target{plan, {}, plan->hidden_in(), plan->hidden_out(),
+                plan->planned_tokens()};
+  return enqueue(std::move(target), A, out, deadline_us, submitted);
 }
 
 std::future<Status> Server::submit_decode(
@@ -285,53 +312,37 @@ std::future<Status> Server::submit_decode(
     std::shared_ptr<model::DecoderPlan> plan, ViewF out,
     std::uint64_t deadline_us) {
   const auto submitted = Clock::now();
-  std::promise<Status> done;
-  std::future<Status> result = done.get_future();
   if (plan == nullptr) {
-    done.set_value(Status::InvalidArgument("decoder plan shared_ptr is null"));
-    return result;
+    return ready(Status::InvalidArgument("decoder plan shared_ptr is null"));
   }
   if (A.rows() != 1) {
-    done.set_value(Status::InvalidArgument(
+    return ready(Status::InvalidArgument(
         "submit_decode takes exactly one token row per sequence step"));
-    return result;
   }
   if (A.cols() != plan->hidden()) {
     std::ostringstream os;
     os << "A depth " << A.cols() << " != decoder hidden " << plan->hidden();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
+    return ready(Status::InvalidArgument(os.str()));
   }
   if (out.rows() != 1 || out.cols() != plan->hidden()) {
     std::ostringstream os;
     os << "out is " << out.rows() << "x" << out.cols() << " but must be 1x"
        << plan->hidden();
-    done.set_value(Status::InvalidArgument(os.str()));
-    return result;
+    return ready(Status::InvalidArgument(os.str()));
   }
-  GroupKey key{plan.get(), TargetKind::kDecode, SpmmOptions{}};
-  return enqueue(std::move(key), nullptr, nullptr, std::move(plan), A, out,
-                 deadline_us, submitted, std::move(done), std::move(result),
-                 seq_id);
+  Target target{plan, {}, plan->hidden(), plan->hidden(),
+                plan->planned_tokens()};
+  return enqueue(std::move(target), A, out, deadline_us, submitted, seq_id);
 }
 
-std::future<Status> Server::enqueue(GroupKey key,
-                                    std::shared_ptr<const CompressedNM>
-                                        weights,
-                                    std::shared_ptr<model::ModelPlan> plan,
-                                    std::shared_ptr<model::DecoderPlan> decode,
-                                    ConstViewF A, ViewF C,
+std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
                                     std::uint64_t deadline_us,
                                     Clock::time_point submitted,
-                                    std::promise<Status> done,
-                                    std::future<Status> result,
                                     std::uint64_t seq_id) {
-  Shard& shard = shard_of(key.target);
+  Shard& shard = shard_of(target.id());
   if (stop_.load(std::memory_order_seq_cst)) {
-    done.set_value(Status::Unavailable("server is shut down"));
-    return result;
+    return ready(Status::Unavailable("server is shut down"));
   }
-  const auto cls = serve::classify_rows(A.rows());
 
   // Trace sampling: every accepted request (bypassed included) draws a
   // ticket; 1 in trace_sample_n carries a nonzero trace id through its
@@ -343,6 +354,10 @@ std::future<Status> Server::enqueue(GroupKey key,
         trace_seq_.fetch_add(1, std::memory_order_relaxed);
     if (n % options_.trace_sample_n == 0) trace_id = n + 1;
   }
+  BatchRequest request{A, C, {}, submitted, Execution::kUnset,
+                       deadline_from(submitted, deadline_us), trace_id,
+                       seq_id};
+  std::future<Status> result = request.done.get_future();
 
   // Single-row fast path: with nothing in flight on the shard there is
   // nothing to coalesce with — serve synchronously here instead of
@@ -354,18 +369,7 @@ std::future<Status> Server::enqueue(GroupKey key,
     std::shared_ptr<Group> group;
     {
       std::lock_guard lock(shard.mutex);
-      std::shared_ptr<Group>& slot = shard.groups[key];
-      if (slot == nullptr) {
-        slot = std::make_shared<Group>();
-        slot->weights = weights;
-        slot->ffn_plan = plan;
-        slot->decode_plan = decode;
-        if (options_.telemetry) {
-          slot->telemetry = std::make_shared<serve::Telemetry>();
-        }
-        shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
-      }
-      group = slot;
+      group = group_for(shard, std::move(target));
       prune_idle_groups(shard, group.get());
     }
     Group& g = *group;
@@ -375,69 +379,14 @@ std::future<Status> Server::enqueue(GroupKey key,
     shard.totals.requests.fetch_add(1, std::memory_order_relaxed);
     shard.totals.rows.fetch_add(1, std::memory_order_relaxed);
     shard.totals.bypassed.fetch_add(1, std::memory_order_relaxed);
-    const auto exec_start = Clock::now();
-    Status status;
-    switch (key.kind) {
-      case TargetKind::kFfn:
-        status = g.ffn_plan->run(A, C);
-        break;
-      case TargetKind::kDecode: {
-        // DecoderPlan serializes internally, so bypassing while the
-        // dispatcher later batches the same plan is safe. Per-sequence
-        // failures surface through the single row's status.
-        Status row;
-        status = g.decode_plan->decode(A, &seq_id, C, &row);
-        if (status.ok()) status = row;
-        break;
-      }
-      case TargetKind::kSpmm:
-        status = engine_.spmm(A, g.weights, C, key.options);
-        break;
-    }
-    const auto resolved = Clock::now();
-    const bool violated =
-        deadline_us != 0 && resolved > deadline_from(submitted, deadline_us);
-    // Telemetry rides the shared_ptr, outside the lock: the bypassed
-    // request never queued or gathered, so only submit-side overhead,
-    // execution, and the end-to-end total are recorded.
-    record_stage(shard, g.telemetry.get(), cls, serve::Stage::kSubmit,
-                 elapsed_us(submitted, exec_start));
-    record_stage(shard, g.telemetry.get(), cls, serve::Stage::kExecute,
-                 elapsed_us(exec_start, resolved));
-    record_stage(shard, g.telemetry.get(), cls, serve::Stage::kTotal,
-                 elapsed_us(submitted, resolved));
-    if (violated) {
-      g.counters.slo_violations.fetch_add(1, std::memory_order_relaxed);
-      shard.totals.slo_violations.fetch_add(1, std::memory_order_relaxed);
-      if (g.telemetry != nullptr) g.telemetry->count_violation(cls);
-      if (shard.telemetry != nullptr) shard.telemetry->count_violation(cls);
-    }
-    if (!status.ok()) {
-      g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-      shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (trace_id != 0) {
-      const auto target = static_cast<std::uint64_t>(
-          reinterpret_cast<std::uintptr_t>(key.target));
-      auto emit = [&](obs::SpanKind kind, Clock::time_point from,
-                      Clock::time_point to) {
-        obs::TraceSpan span;
-        span.trace_id = trace_id;
-        span.kind = kind;
-        span.ts_us = tracer_->to_us(from);
-        span.dur_us = elapsed_us(from, to);
-        span.target = target;
-        span.rows = 1;
-        span.shard = shard.index;
-        span.cls = trace_cls_byte(cls);
-        span.lane = obs::ExecLane::kBypass;
-        tracer_->record(span);
-      };
-      emit(obs::SpanKind::kSubmit, submitted, exec_start);
-      emit(obs::SpanKind::kExecute, exec_start, resolved);
-      emit(obs::SpanKind::kTotal, submitted, resolved);
-    }
-    done.set_value(status);
+    Execution x;
+    x.lane = obs::ExecLane::kBypass;
+    Status row;
+    const Status status =
+        execute(g.target, x, A, &request.seq_id, C, &row);
+    // The bypass goes straight from submit to execute.
+    request.enqueued = x.start;
+    complete(shard, g, request, x, status.ok() ? row : status);
     return result;
   }
 
@@ -466,7 +415,7 @@ std::future<Status> Server::enqueue(GroupKey key,
             options_.shed_pending_bytes;
     if (over_rows || over_bytes) {
       count_shed();
-      done.set_value(Status::ResourceExhausted(
+      request.done.set_value(Status::ResourceExhausted(
           over_rows ? "request shed: shard pending rows over high-water mark"
                     : "request shed: shard pending bytes over high-water "
                       "mark"));
@@ -484,7 +433,7 @@ std::future<Status> Server::enqueue(GroupKey key,
   shard.entrants.fetch_add(1, std::memory_order_seq_cst);
   if (stop_.load(std::memory_order_seq_cst)) {
     shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
-    done.set_value(Status::Unavailable("server is shut down"));
+    request.done.set_value(Status::Unavailable("server is shut down"));
     return result;
   }
   // inflight (and the admission pending gauges) must rise before the
@@ -493,14 +442,8 @@ std::future<Status> Server::enqueue(GroupKey key,
   shard.inflight.fetch_add(1, std::memory_order_seq_cst);
   shard.pending_rows.fetch_add(rows, std::memory_order_relaxed);
   shard.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
-  SubmitMsg msg;
-  msg.key = std::move(key);
-  msg.weights = std::move(weights);
-  msg.ffn_plan = std::move(plan);
-  msg.decode_plan = std::move(decode);
-  msg.request =
-      BatchRequest{A, C, std::move(done), submitted, Clock::now(),
-                   deadline_from(submitted, deadline_us), trace_id, seq_id};
+  request.enqueued = Clock::now();
+  SubmitMsg msg{std::move(target), std::move(request)};
   // Undo the publish-protocol counters on any abort below (the request
   // never reaches the ring, so nothing downstream will release them).
   auto release = [&] {
@@ -565,17 +508,19 @@ std::future<Status> Server::enqueue(GroupKey key,
   return result;
 }
 
-index_t Server::group_row_budget(const Group& group) const {
-  if (group.ffn_plan != nullptr) {
-    // A batch larger than the plan's token budget could never execute.
-    return std::min(options_.max_batch_rows,
-                    group.ffn_plan->planned_tokens());
+std::shared_ptr<Server::Group> Server::group_for(Shard& shard,
+                                                 Target target) {
+  std::shared_ptr<Group>& slot =
+      shard.groups[GroupKey{target.id(), target.options}];
+  if (slot == nullptr) {
+    slot = std::make_shared<Group>();
+    slot->target = std::move(target);
+    if (options_.telemetry) {
+      slot->telemetry = std::make_shared<serve::Telemetry>();
+    }
+    shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
   }
-  if (group.decode_plan != nullptr) {
-    return std::min(options_.max_batch_rows,
-                    group.decode_plan->planned_tokens());
-  }
-  return options_.max_batch_rows;
+  return slot;
 }
 
 std::size_t Server::drain_ring(Shard& shard, std::uint64_t& drained,
@@ -587,41 +532,13 @@ std::size_t Server::drain_ring(Shard& shard, std::uint64_t& drained,
   drained += scratch.size();
   std::lock_guard lock(shard.mutex);
   for (SubmitMsg& m : scratch) {
-    std::shared_ptr<Group>& slot = shard.groups[m.key];
-    if (slot == nullptr) {
-      slot = std::make_shared<Group>();
-      slot->weights = std::move(m.weights);
-      slot->ffn_plan = std::move(m.ffn_plan);
-      slot->decode_plan = std::move(m.decode_plan);
-      if (options_.telemetry) {
-        slot->telemetry = std::make_shared<serve::Telemetry>();
-      }
-      shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
-    }
-    Group& g = *slot;
+    const std::shared_ptr<Group> group = group_for(shard, std::move(m.target));
+    Group& g = *group;
     const auto rows = static_cast<std::uint64_t>(m.request.a.rows());
     g.counters.requests.fetch_add(1, std::memory_order_relaxed);
     g.counters.rows.fetch_add(rows, std::memory_order_relaxed);
     shard.totals.requests.fetch_add(1, std::memory_order_relaxed);
     shard.totals.rows.fetch_add(rows, std::memory_order_relaxed);
-    // kSubmit ends at ring publish; ring residency counts as kQueue.
-    record_stage(shard, g.telemetry.get(),
-                 serve::classify_rows(m.request.a.rows()),
-                 serve::Stage::kSubmit,
-                 elapsed_us(m.request.submitted, m.request.enqueued));
-    if (m.request.trace_id != 0 && tracer_ != nullptr) {
-      obs::TraceSpan span;
-      span.trace_id = m.request.trace_id;
-      span.kind = obs::SpanKind::kSubmit;
-      span.ts_us = tracer_->to_us(m.request.submitted);
-      span.dur_us = elapsed_us(m.request.submitted, m.request.enqueued);
-      span.target = static_cast<std::uint64_t>(
-          reinterpret_cast<std::uintptr_t>(m.key.target));
-      span.rows = static_cast<std::uint32_t>(rows);
-      span.shard = shard.index;
-      span.cls = trace_cls_byte(serve::classify_rows(m.request.a.rows()));
-      tracer_->record(span);
-    }
     g.queue.push(std::move(m.request));
     atomic_max(g.counters.max_queue_depth, g.queue.max_depth_seen());
     atomic_max(shard.totals.max_queue_depth, g.queue.max_depth_seen());
@@ -642,24 +559,25 @@ Server::PendingBatch Server::next_batch(Shard& shard,
   // Among ready groups, serve the one whose front request is oldest —
   // sustained row-budget traffic on one group must not starve another
   // group's deadline-expired requests.
-  const GroupKey* pick_key = nullptr;
+  const auto row_budget = [this](const Group& group) {
+    return std::min(options_.max_batch_rows, group.target.max_rows);
+  };
   const std::shared_ptr<Group>* pick = nullptr;
   for (auto& [key, group] : shard.groups) {
     BatchQueue& queue = group->queue;
     if (queue.empty()) continue;
-    if (!draining && !queue.ready(now, group_row_budget(*group), wait,
+    if (!draining && !queue.ready(now, row_budget(*group), wait,
                                   options_.slo_aware, margin)) {
       continue;
     }
     if (pick == nullptr || queue.oldest() < (*pick)->queue.oldest()) {
-      pick_key = &key;
       pick = &group;
     }
   }
   if (pick == nullptr) return batch;
 
   Group& g = **pick;
-  const index_t budget = group_row_budget(g);
+  const index_t budget = row_budget(g);
   // Attribute the flush before popping mutates the queue. During drain a
   // not-otherwise-ready queue flushes for shutdown; count it with the
   // timeout flushes.
@@ -668,9 +586,8 @@ Server::PendingBatch Server::next_batch(Shard& shard,
     reason = g.queue.flush_reason(now, budget, wait);
   }
   batch.group = *pick;
-  batch.options = pick_key->options;
-  batch.popped = now;
-  batch.reason = reason;
+  batch.exec.popped = now;
+  batch.exec.flush = trace_flush_byte(reason);
   batch.requests = g.queue.take_batch(budget);
   for (const BatchRequest& r : batch.requests) batch.rows += r.a.rows();
   g.counters.batches.fetch_add(1, std::memory_order_relaxed);
@@ -708,18 +625,8 @@ void Server::prune_staging(Shard& shard, StagingMap& staging) {
   }
 }
 
-void Server::record_stage(Shard& shard, serve::Telemetry* group_telemetry,
-                          serve::RequestClass cls, serve::Stage stage,
-                          std::uint64_t us) const {
-  if (group_telemetry != nullptr) group_telemetry->record(cls, stage, us);
-  if (shard.telemetry != nullptr) shard.telemetry->record(cls, stage, us);
-}
-
-void Server::resolve_request(Shard& shard, PendingBatch& batch,
-                             BatchRequest& r, Clock::time_point exec_start,
-                             Clock::time_point exec_end,
-                             const Status& status) {
-  Group& g = *batch.group;
+void Server::complete(Shard& shard, Group& g, BatchRequest& r,
+                      const Execution& x, const Status& status) {
   // Record before resolving the future: a caller that joins on its
   // future and then reads stats() must see its own sample.
   const auto resolved = Clock::now();
@@ -734,261 +641,163 @@ void Server::resolve_request(Shard& shard, PendingBatch& batch,
     g.counters.errors.fetch_add(1, std::memory_order_relaxed);
     shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
   }
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kQueue,
-               elapsed_us(r.enqueued, batch.popped));
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kGather,
-               elapsed_us(batch.popped, exec_start));
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kExecute,
-               elapsed_us(exec_start, exec_end));
-  record_stage(shard, g.telemetry.get(), cls, serve::Stage::kTotal,
-               elapsed_us(r.submitted, resolved));
-  if (r.trace_id != 0 && tracer_ != nullptr) {
-    trace_request(shard, batch, r, exec_start, exec_end, resolved);
+
+  const bool traced = r.trace_id != 0 && tracer_ != nullptr;
+  obs::TraceSpan span;
+  span.trace_id = r.trace_id;
+  span.target = static_cast<std::uint64_t>(
+      reinterpret_cast<std::uintptr_t>(g.target.id()));
+  span.rows = static_cast<std::uint32_t>(r.a.rows());
+  span.shard = shard.index;
+  span.cls = trace_cls_byte(cls);
+  auto record = [&](serve::Stage stage, Clock::time_point from,
+                    Clock::time_point to) {
+    // Group and shard recorders both take every sample: the shard's
+    // survives group eviction, the group's serves per-target queries.
+    const std::uint64_t us = elapsed_us(from, to);
+    if (g.telemetry != nullptr) g.telemetry->record(cls, stage, us);
+    if (shard.telemetry != nullptr) shard.telemetry->record(cls, stage, us);
+    if (!traced) return;
+    span.kind = static_cast<obs::SpanKind>(stage);
+    span.ts_us = tracer_->to_us(from);
+    span.dur_us = us;
+    tracer_->record(span);
+  };
+  // Stage s runs from boundary s to boundary s + 1 (serve::Stage order)
+  // and is recorded only when the request reached both.
+  const Clock::time_point at[] = {r.submitted, r.enqueued, x.popped,
+                                  x.start, x.end};
+  for (int s = 0; s < serve::kNumStages - 1; ++s) {
+    if (at[s] == Execution::kUnset || at[s + 1] == Execution::kUnset) {
+      continue;
+    }
+    const auto stage = static_cast<serve::Stage>(s);
+    // A queued request's submit stage ended before it joined a batch,
+    // so that span carries no batch attributes.
+    const bool batch_attrs =
+        stage != serve::Stage::kSubmit || x.popped == Execution::kUnset;
+    span.lane = batch_attrs ? x.lane : obs::ExecLane::kNone;
+    span.flush = batch_attrs ? x.flush : obs::kNoAttr;
+    span.detail = stage == serve::Stage::kExecute ? x.repacks : 0;
+    record(stage, at[s], at[s + 1]);
   }
+  span.lane = x.lane;
+  span.flush = x.flush;
+  span.detail = 0;
+  record(serve::Stage::kTotal, r.submitted, resolved);
+
   // Drop inflight before fulfilling the promise: a caller that joins
   // and immediately submits a single row must observe the idle shard
-  // (bypass eligibility), not a stale in-flight count.
-  shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
-                               std::memory_order_relaxed);
-  shard.pending_bytes.fetch_sub(staging_bytes(r.a.rows(), r.a.cols(),
-                                              r.c.cols()),
-                                std::memory_order_relaxed);
-  shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
+  // (bypass eligibility), not a stale in-flight count. Bypassed
+  // requests never entered the ring, so they hold none of it.
+  if (x.lane != obs::ExecLane::kBypass) {
+    shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
+                                 std::memory_order_relaxed);
+    shard.pending_bytes.fetch_sub(
+        staging_bytes(r.a.rows(), r.a.cols(), r.c.cols()),
+        std::memory_order_relaxed);
+    shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
+  }
   r.done.set_value(status);
 }
 
-void Server::trace_request(const Shard& shard, const PendingBatch& batch,
-                           const BatchRequest& r,
-                           Clock::time_point exec_start,
-                           Clock::time_point exec_end,
-                           Clock::time_point resolved) const {
-  const Group& g = *batch.group;
-  const void* target =
-      g.decode_plan != nullptr ? static_cast<const void*>(g.decode_plan.get())
-      : g.ffn_plan != nullptr  ? static_cast<const void*>(g.ffn_plan.get())
-                               : static_cast<const void*>(g.weights.get());
-  obs::TraceSpan span;
-  span.trace_id = r.trace_id;
-  span.target =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(target));
-  span.rows = static_cast<std::uint32_t>(r.a.rows());
-  span.shard = shard.index;
-  span.cls = trace_cls_byte(serve::classify_rows(r.a.rows()));
-  span.flush = trace_flush_byte(batch.reason);
-  span.lane = batch.lane;
-  auto emit = [&](obs::SpanKind kind, Clock::time_point from,
-                  Clock::time_point to, std::uint64_t detail = 0) {
-    span.kind = kind;
-    span.ts_us = tracer_->to_us(from);
-    span.dur_us = elapsed_us(from, to);
-    span.detail = detail;
-    tracer_->record(span);
-  };
-  emit(obs::SpanKind::kQueue, r.enqueued, batch.popped);
-  emit(obs::SpanKind::kGather, batch.popped, exec_start);
-  emit(obs::SpanKind::kExecute, exec_start, exec_end, batch.exec_repacks);
-  emit(obs::SpanKind::kTotal, r.submitted, resolved);
+Status Server::execute(const Target& target, Execution& x, ConstViewF a,
+                       const std::uint64_t* seq_ids, ViewF c,
+                       Status* row_status) {
+  const std::uint64_t repacks_before = obs::repack_events();
+  x.start = Clock::now();
+  const Status status = target.run(engine_, a, seq_ids, c, row_status);
+  x.end = Clock::now();
+  x.repacks = obs::repack_events() - repacks_before;
+  return status;
 }
 
 Status Server::serve_batch(Shard& shard, PendingBatch& batch,
                            StagingMap& staging) {
   Group& g = *batch.group;
-  const bool ffn = g.ffn_plan != nullptr;
-  const bool decode = g.decode_plan != nullptr;
+  const Target& target = g.target;
   // Chaos hook: per-shard artificial execute latency (no-op by default).
   NMSPMM_FAULT_EXECUTE_DELAY();
+  batch.exec.lane = obs::ExecLane::kCoalesce;
 
-  // A lone request needs no gather/scatter: hand its views straight to
-  // the execution path (same plan caches, zero copies).
-  if (batch.requests.size() == 1) {
-    BatchRequest& r = batch.requests.front();
-    const std::uint64_t repacks_before = obs::repack_events();
-    const auto exec_start = Clock::now();
-    Status status;
-    if (decode) {
-      Status row;
-      status = g.decode_plan->decode(r.a, &r.seq_id, r.c, &row);
-      if (status.ok()) status = row;
-    } else if (ffn) {
-      status = g.ffn_plan->run(r.a, r.c);
-    } else {
-      status = engine_.spmm(r.a, g.weights, r.c, batch.options);
+  // A lone request needs no gather/scatter: its own views go straight
+  // to the target (same plan caches, zero copies). A batch of several
+  // gathers into one staged block, so one execution serves them all.
+  BatchRequest& front = batch.requests.front();
+  ConstViewF a = front.a;
+  ViewF c = front.c;
+  const std::uint64_t* seq_ids = &front.seq_id;
+  const bool gathered = batch.requests.size() > 1;
+  if (gathered) {
+    const index_t k = target.k;
+    const index_t n = target.n;
+    const index_t capacity = std::max(batch.rows, options_.max_batch_rows);
+    // Bound dispatcher memory before it grows: a trip here unwinds into
+    // the dispatcher's exception guard, failing this batch with
+    // RESOURCE_EXHAUSTED while the server keeps serving. Real bad_alloc
+    // from the MatrixF growth below takes the same guard path.
+    if (options_.max_staging_bytes != 0 &&
+        staging_bytes(capacity, k, n) > options_.max_staging_bytes) {
+      std::ostringstream os;
+      os << "batch of " << batch.rows << " rows needs "
+         << staging_bytes(capacity, k, n)
+         << " staging bytes, over max_staging_bytes="
+         << options_.max_staging_bytes;
+      throw ResourceExhaustedError(os.str());
     }
-    batch.exec_repacks = obs::repack_events() - repacks_before;
-    resolve_request(shard, batch, r, exec_start, Clock::now(), status);
-    return status;
-  }
-
-  // Execute policy: one big partitioned SpMM (coalesce) vs. several
-  // concurrent serial ones (split). Splitting needs a real pool and a
-  // plain-SpMM group (a ModelPlan binds its own pool and cannot run as
-  // a serial lane).
-  ThreadPool* pool = engine_.pool();
-  bool split = false;
-  if (!ffn && !decode && pool != nullptr && pool->size() > 1) {
-    switch (options_.execute_policy) {
-      case ExecutePolicy::kCoalesce:
-        break;
-      case ExecutePolicy::kSplit:
-        split = true;
-        break;
-      case ExecutePolicy::kAuto:
-        // Prefill-heavy batches split: each request is big enough to
-        // keep a core busy on its own, and skipping the gather/scatter
-        // of large row blocks beats amortizing one weight read. Decode
-        // bursts coalesce — the shared weight read is the whole win.
-        split = batch.rows >= options_.split_min_avg_rows *
-                                  static_cast<index_t>(
-                                      batch.requests.size());
-        break;
+    if (NMSPMM_FAULT_FIRE(kStagingAlloc)) {
+      throw ResourceExhaustedError("injected staging allocation failure");
     }
-  }
-  if (split) return serve_batch_split(shard, batch);
-
-  const index_t k = decode ? g.decode_plan->hidden()
-                   : ffn   ? g.ffn_plan->hidden_in()
-                           : g.weights->orig_rows;
-  const index_t n = decode ? g.decode_plan->hidden()
-                   : ffn   ? g.ffn_plan->hidden_out()
-                           : g.weights->cols;
-  const void* target = decode ? static_cast<const void*>(g.decode_plan.get())
-                       : ffn  ? static_cast<const void*>(g.ffn_plan.get())
-                              : static_cast<const void*>(g.weights.get());
-  const index_t capacity = std::max(batch.rows, options_.max_batch_rows);
-  // Bound dispatcher memory before it grows: a trip here unwinds into
-  // the dispatcher's exception guard, failing this batch with
-  // RESOURCE_EXHAUSTED while the server keeps serving. Real bad_alloc
-  // from the MatrixF growth below takes the same guard path.
-  if (options_.max_staging_bytes != 0 &&
-      staging_bytes(capacity, k, n) > options_.max_staging_bytes) {
-    std::ostringstream os;
-    os << "batch of " << batch.rows << " rows needs "
-       << staging_bytes(capacity, k, n)
-       << " staging bytes, over max_staging_bytes="
-       << options_.max_staging_bytes;
-    throw ResourceExhaustedError(os.str());
-  }
-  if (NMSPMM_FAULT_FIRE(kStagingAlloc)) {
-    throw ResourceExhaustedError("injected staging allocation failure");
-  }
-  Staging& st = staging[target];
-  if (st.a.rows() < batch.rows || st.a.cols() != k) {
-    st.a = MatrixF(capacity, k);
-  }
-  if (st.c.rows() < batch.rows || st.c.cols() != n) {
-    st.c = MatrixF(capacity, n);
-  }
-
-  index_t row = 0;
-  for (const BatchRequest& r : batch.requests) {
-    for (index_t i = 0; i < r.a.rows(); ++i) {
-      std::copy_n(r.a.row(i), k, st.a.row(row++));
+    Staging& st = staging[target.id()];
+    if (st.a.rows() < batch.rows || st.a.cols() != k) {
+      st.a = MatrixF(capacity, k);
     }
-  }
-  const ConstViewF a_view = st.a.view().block(0, 0, batch.rows, k);
-  const ViewF c_view = st.c.view().block(0, 0, batch.rows, n);
-  const std::uint64_t repacks_before = obs::repack_events();
-  const auto exec_start = Clock::now();
-  if (decode) {
-    // Decode coalescing: one DecoderPlan::decode call batches the QKV
-    // and output projections across every pending sequence. Each
-    // request is exactly one token row (submit_decode enforces it), so
-    // request i is staged row i. A per-sequence failure fails that
-    // request alone; the rest of the batch still lands.
-    std::vector<std::uint64_t> seq_ids(batch.requests.size());
-    std::vector<Status> row_status(batch.requests.size());
-    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-      seq_ids[i] = batch.requests[i].seq_id;
+    if (st.c.rows() < batch.rows || st.c.cols() != n) {
+      st.c = MatrixF(capacity, n);
     }
-    const Status status = g.decode_plan->decode(a_view, seq_ids.data(),
-                                                c_view, row_status.data());
-    const auto exec_end = Clock::now();
-    batch.exec_repacks = obs::repack_events() - repacks_before;
-    Status worst = status;
-    for (std::size_t i = 0; i < batch.requests.size(); ++i) {
-      BatchRequest& r = batch.requests[i];
-      const Status rs = status.ok() ? row_status[i] : status;
-      if (rs.ok()) {
-        std::copy_n(c_view.row(static_cast<index_t>(i)), n, r.c.row(0));
-      } else if (worst.ok()) {
-        worst = rs;
-      }
-      resolve_request(shard, batch, r, exec_start, exec_end, rs);
-    }
-    return worst;
-  }
-  const Status status = ffn ? g.ffn_plan->run(a_view, c_view)
-                            : engine_.spmm(a_view, g.weights, c_view,
-                                           batch.options);
-  const auto exec_end = Clock::now();
-  batch.exec_repacks = obs::repack_events() - repacks_before;
-  if (status.ok()) {
-    row = 0;
+    // Row i of the staged block carries its request's KV sequence
+    // (decode requests are exactly one row each).
+    st.seq_ids.clear();
+    index_t row = 0;
     for (const BatchRequest& r : batch.requests) {
-      for (index_t i = 0; i < r.c.rows(); ++i) {
-        std::copy_n(c_view.row(row++), n, r.c.row(i));
+      for (index_t i = 0; i < r.a.rows(); ++i) {
+        std::copy_n(r.a.row(i), k, st.a.row(row++));
+        st.seq_ids.push_back(r.seq_id);
       }
     }
+    a = st.a.view().block(0, 0, batch.rows, k);
+    c = st.c.view().block(0, 0, batch.rows, n);
+    seq_ids = st.seq_ids.data();
   }
-  for (BatchRequest& r : batch.requests) {
-    resolve_request(shard, batch, r, exec_start, exec_end, status);
-  }
-  return status;
-}
 
-Status Server::serve_batch_split(Shard& shard, PendingBatch& batch) {
-  Group& g = *batch.group;
-  const std::size_t n = batch.requests.size();
-  std::vector<Status> statuses(n);
-  std::vector<Clock::time_point> starts(n);
-  std::vector<Clock::time_point> ends(n);
-  // Each lane runs a strictly serial plan (Engine honors the explicit
-  // num_threads == 1) straight on the caller's views: zero gather or
-  // scatter, and no nested pool waits — the concurrency comes from
-  // run_chunks spreading the lanes over the workers.
-  SpmmOptions lane_options = batch.options;
-  lane_options.num_threads = 1;
-  batch.lane = obs::ExecLane::kSplit;
-  const std::uint64_t repacks_before = obs::repack_events();
-  engine_.pool()->run_chunks(
-      static_cast<std::int64_t>(n), [&](std::int64_t i) {
-        BatchRequest& r = batch.requests[static_cast<std::size_t>(i)];
-        starts[i] = Clock::now();
-        statuses[i] = engine_.spmm(r.a, g.weights, r.c, lane_options);
-        ends[i] = Clock::now();
-      });
-  batch.exec_repacks = obs::repack_events() - repacks_before;
-  g.counters.split_batches.fetch_add(1, std::memory_order_relaxed);
-  shard.totals.split_batches.fetch_add(1, std::memory_order_relaxed);
-  Status worst;
-  for (std::size_t i = 0; i < n; ++i) {
-    resolve_request(shard, batch, batch.requests[i], starts[i], ends[i],
-                    statuses[i]);
-    if (worst.ok() && !statuses[i].ok()) worst = statuses[i];
+  std::vector<Status> row_status(static_cast<std::size_t>(batch.rows));
+  const Status status =
+      execute(target, batch.exec, a, seq_ids, c, row_status.data());
+  // Each request resolves with the batch's status, or its own row's (a
+  // per-sequence decode failure fails that request alone); only rows
+  // that succeeded scatter back.
+  Status worst = status;
+  index_t row = 0;
+  for (BatchRequest& r : batch.requests) {
+    const Status rs =
+        status.ok() ? row_status[static_cast<std::size_t>(row)] : status;
+    if (rs.ok() && gathered) {
+      for (index_t i = 0; i < r.c.rows(); ++i) {
+        std::copy_n(c.row(row + i), target.n, r.c.row(i));
+      }
+    }
+    if (worst.ok()) worst = rs;
+    row += r.a.rows();
+    complete(shard, g, r, batch.exec, rs);
+    ++batch.resolved;
   }
   return worst;
 }
 
 void Server::fail_batch(Shard& shard, PendingBatch& batch,
                         const Status& status) {
-  Group& g = *batch.group;
-  for (BatchRequest& r : batch.requests) {
-    // A request may already have been resolved before the failure
-    // surfaced; second set_value throws future_error — skip those
-    // (their counters and inflight are already settled).
-    try {
-      r.done.set_value(status);
-    } catch (const std::future_error&) {
-      continue;
-    }
-    g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
-                                 std::memory_order_relaxed);
-    shard.pending_bytes.fetch_sub(staging_bytes(r.a.rows(), r.a.cols(),
-                                                r.c.cols()),
-                                  std::memory_order_relaxed);
-    shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
+  for (std::size_t i = batch.resolved; i < batch.requests.size(); ++i) {
+    complete(shard, *batch.group, batch.requests[i], batch.exec, status);
   }
 }
 
@@ -1011,34 +820,14 @@ void Server::dispatcher_loop(Shard& shard) {
       // the drain's remaining time computing an answer nobody is
       // waiting for (and instead of hanging its future).
       if (stop_.load(std::memory_order_relaxed)) {
-        Group& g = *batch.group;
         const auto now = Clock::now();
         std::vector<BatchRequest> live;
         live.reserve(batch.requests.size());
         for (BatchRequest& r : batch.requests) {
           if (r.has_deadline() && now > r.deadline) {
-            const auto cls = serve::classify_rows(r.a.rows());
-            g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-            g.counters.slo_violations.fetch_add(1,
-                                                std::memory_order_relaxed);
-            shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
-            shard.totals.slo_violations.fetch_add(
-                1, std::memory_order_relaxed);
-            if (g.telemetry != nullptr) g.telemetry->count_violation(cls);
-            if (shard.telemetry != nullptr) {
-              shard.telemetry->count_violation(cls);
-            }
-            record_stage(shard, g.telemetry.get(), cls,
-                         serve::Stage::kTotal, elapsed_us(r.submitted, now));
-            shard.pending_rows.fetch_sub(
-                static_cast<std::uint64_t>(r.a.rows()),
-                std::memory_order_relaxed);
-            shard.pending_bytes.fetch_sub(
-                staging_bytes(r.a.rows(), r.a.cols(), r.c.cols()),
-                std::memory_order_relaxed);
-            shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
-            r.done.set_value(Status::DeadlineExceeded(
-                "deadline expired before the drain reached the request"));
+            complete(shard, *batch.group, r, batch.exec,
+                     Status::DeadlineExceeded("deadline expired before the "
+                                              "drain reached the request"));
           } else {
             live.push_back(std::move(r));
           }
@@ -1057,8 +846,8 @@ void Server::dispatcher_loop(Shard& shard) {
       // as RESOURCE_EXHAUSTED — retryable; anything else is a genuine
       // invariant trip and stays INTERNAL.
       try {
-        // Per-request error accounting happens inside resolve_request;
-        // the returned worst status is only of interest to tests.
+        // Per-request error accounting happens inside complete(); the
+        // returned worst status is only of interest to tests.
         static_cast<void>(serve_batch(shard, batch, staging));
       } catch (const std::bad_alloc& e) {
         fail_batch(shard, batch, Status::ResourceExhausted(e.what()));

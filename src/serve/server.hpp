@@ -20,10 +20,10 @@
 //   submit()  ──┐   lock-free   ┌────────────────────┐
 //   submit()  ──┼─► MPSC ring ─►│ shard 0: group map, │──┐
 //   submit()  ──┘               │ staging, SLO flush  │  │  one pooled
-//                               └────────────────────┘  ├─► SpMM, or N
-//   submit()  ──┐               ┌────────────────────┐  │  concurrent
-//   submit()  ──┼─► MPSC ring ─►│ shard 1:   …        │──┘  serial SpMMs
-//   submit()  ──┘               └────────────────────┘     (run_chunks)
+//                               └────────────────────┘  ├─► execution
+//   submit()  ──┐               ┌────────────────────┐  │  per batch
+//   submit()  ──┼─► MPSC ring ─►│ shard 1:   …        │──┘
+//   submit()  ──┘               └────────────────────┘
 //
 // Each shard owns a bounded lock-free MPSC ring (serve/mpsc_ring.hpp),
 // a dispatcher thread, and its own group map / staging / flush state.
@@ -35,26 +35,27 @@
 // definition, so never contended) and on the single-row bypass.
 //
 // The dispatcher drains its ring into per-group FIFO queues, flushes a
-// group when its pending rows reach max_batch_rows, its oldest request
-// has waited max_wait_us, or an SLO deadline approaches, and executes
-// the batch under an execute policy (ExecutePolicy): either gather the
-// requests into one pooled SpMM (decode bursts — amortizes the weight
-// read), or run them as several concurrent strictly-serial SpMMs over
-// the shared ThreadPool (prefill-heavy batches — zero gather/scatter
-// copies, each request computes straight into its caller's views).
+// group when its pending rows reach its row budget, its oldest request
+// has waited max_wait_us, or an SLO deadline approaches, and gathers the
+// batch into one execution on the engine's pool: a single pooled SpMM
+// partitions across every worker, so one large product beats several
+// serial ones, and the shared weight read is the whole win for decode
+// bursts. A lone request skips the gather and runs on its own views.
 //
-// Whole FFN blocks batch the same way: submit_ffn() coalesces concurrent
-// token rows against one model::ModelPlan, so a burst of decode steps
-// pays one pass over all three projection weight matrices instead of one
-// per request (src/model/ffn.hpp). FFN batches always coalesce (a
-// ModelPlan binds its own pool; serial split lanes cannot ride it).
-// Full decoder-layer steps batch through submit_decode(): concurrent
-// 1-row token submissions against one model::DecoderPlan gather into a
-// single DecoderPlan::decode — the QKV / output / FFN projections run
-// batched, attention runs per sequence between them, and each request
-// resolves with its own per-sequence status (NOT_FOUND for an unknown
-// sequence, retryable RESOURCE_EXHAUSTED when the KV budget is spent),
-// so one bad sequence never fails its batchmates.
+// Each group serves one target, and one execution serves the whole
+// batch: a plain weight matrix (submit), a fused-FFN model::ModelPlan
+// (submit_ffn — a burst of decode steps pays one pass over all three
+// projection weight matrices instead of one per request,
+// src/model/ffn.hpp), or a decoder-layer model::DecoderPlan
+// (submit_decode). Concurrent 1-row token submissions against one
+// DecoderPlan gather into a single DecoderPlan::decode — the QKV /
+// output / FFN projections run batched, attention runs per sequence
+// between them, and each request resolves with its own per-sequence
+// status (NOT_FOUND for an unknown sequence, retryable
+// RESOURCE_EXHAUSTED when the KV budget is spent), so one bad sequence
+// never fails its batchmates. Every request, however it was served or
+// failed, resolves through one completion step that records its stage
+// latencies and, when sampled, its trace spans from the same instants.
 //
 // Two latency escapes keep the common cases fast and the process alive:
 //  - Single-row bypass: when a 1-row submit() arrives and its shard is
@@ -102,7 +103,9 @@
 #include <mutex>
 #include <string>
 #include <thread>
+#include <limits>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -114,21 +117,6 @@
 #include "serve/telemetry.hpp"
 
 namespace nmspmm {
-
-/// How a dispatcher turns one flushed batch into engine work.
-enum class ExecutePolicy : std::uint8_t {
-  /// Split when the batch is prefill-heavy (average rows per request >=
-  /// ServerOptions::split_min_avg_rows), else coalesce. Decode bursts
-  /// coalesce (the batched weight read is the whole win); large-row
-  /// requests split (partitioning inside one request already saturates
-  /// the pool, and splitting skips the gather/scatter copies).
-  kAuto,
-  /// Always gather into one pooled SpMM (the pre-refactor behavior).
-  kCoalesce,
-  /// Always run the batch's requests as concurrent serial SpMMs on the
-  /// shared pool (plain-SpMM groups only; FFN batches still coalesce).
-  kSplit,
-};
 
 /// What submit() does when a shard cannot take the request right now
 /// (ring full, or pending work past a high-water mark). See the header
@@ -205,13 +193,6 @@ struct ServerOptions {
   /// submitters: submit() spins with backoff until the dispatcher
   /// drains a slot, counting the stall in stats().ring_stalls.
   std::size_t ring_capacity = 1024;
-  /// Per-flush choice between one big partitioned SpMM and several
-  /// concurrent smaller ones (see ExecutePolicy).
-  ExecutePolicy execute_policy = ExecutePolicy::kAuto;
-  /// kAuto splits a plain-SpMM batch when its average rows per request
-  /// reaches this many (prefill-heavy; the gather/scatter copy starts
-  /// to cost more than the split's extra weight reads).
-  index_t split_min_avg_rows = 16;
   /// Span tracing (src/obs/trace.hpp): trace 1 request in every
   /// trace_sample_n (0 = tracing off; 1 = every request). A traced
   /// request leaves one span per life-cycle stage — submit, queue,
@@ -309,8 +290,9 @@ class Server {
     std::uint64_t bypassed = 0;         ///< served synchronously at submit
     std::uint64_t errors = 0;           ///< requests resolved non-OK
     std::uint64_t slo_violations = 0;   ///< deadlines missed (incl. expiry)
-    std::uint64_t split_batches = 0;    ///< batches run as concurrent
-                                        ///< serial SpMMs (ExecutePolicy)
+    /// Always 0: every batch runs as one pooled execution. Kept only
+    /// because perfbench still reads it (serve.split_share).
+    std::uint64_t split_batches = 0;
     std::size_t max_queue_depth = 0;    ///< peak pending requests
   };
   struct Stats {
@@ -384,20 +366,36 @@ class Server {
  private:
   using Clock = BatchQueue::Clock;
 
-  /// What a group's one-execution-serves-all target is: a plain weight
-  /// matrix, a fused-FFN ModelPlan, or a decoder-layer DecoderPlan.
-  enum class TargetKind : std::uint8_t {
-    kSpmm = 0,
-    kFfn,
-    kDecode,
+  /// What one group's executions run against: a plain weight matrix
+  /// (under the group's SpmmOptions), a fused-FFN ModelPlan, or a
+  /// decoder-layer DecoderPlan. The bypass, a lone queued request and a
+  /// gathered batch all serve through run(); nothing else in the Server
+  /// looks at which of the three it holds.
+  struct Target {
+    std::variant<std::shared_ptr<const CompressedNM>,
+                 std::shared_ptr<model::ModelPlan>,
+                 std::shared_ptr<model::DecoderPlan>>
+        owner;
+    SpmmOptions options;  ///< plain weights only; default for plans
+    index_t k = 0;        ///< activation depth
+    index_t n = 0;        ///< output width
+    /// Rows one execution can take: a plan's token budget, else no cap.
+    index_t max_rows = std::numeric_limits<index_t>::max();
+
+    /// The weights / plan address: group identity and trace attribute.
+    [[nodiscard]] const void* id() const;
+    /// Rows of @p c = target(rows of @p a). @p seq_ids names each row's
+    /// KV sequence and @p row_status receives each row's own outcome;
+    /// only a DecoderPlan reads or writes them.
+    [[nodiscard]] Status run(Engine& engine, ConstViewF a,
+                             const std::uint64_t* seq_ids, ViewF c,
+                             Status* row_status) const;
   };
   /// Requests batch together only when one execution can serve them all:
-  /// plain SpMM requests must agree on weights and options; FFN / decode
-  /// requests must agree on the plan (which fixes everything else).
+  /// same target and, for plain weights, same options.
   struct GroupKey {
-    const void* target = nullptr;  ///< CompressedNM* or plan pointer
-    TargetKind kind = TargetKind::kSpmm;
-    SpmmOptions options;  ///< default-constructed for plan groups
+    const void* target = nullptr;
+    SpmmOptions options;
 
     friend bool operator==(const GroupKey&, const GroupKey&) = default;
   };
@@ -419,16 +417,13 @@ class Server {
     std::atomic<std::uint64_t> bypassed{0};
     std::atomic<std::uint64_t> errors{0};
     std::atomic<std::uint64_t> slo_violations{0};
-    std::atomic<std::uint64_t> split_batches{0};
     std::atomic<std::size_t> max_queue_depth{0};
 
     [[nodiscard]] GroupStats snapshot() const;
     void count_flush(FlushReason reason);
   };
   struct Group {
-    std::shared_ptr<const CompressedNM> weights;     ///< plain groups
-    std::shared_ptr<model::ModelPlan> ffn_plan;      ///< FFN groups
-    std::shared_ptr<model::DecoderPlan> decode_plan; ///< decode groups
+    Target target;
     /// Pending requests. Only touched under the owning shard's mutex
     /// (dispatcher drain/flush, bypass idle checks never read it).
     BatchQueue queue;
@@ -443,37 +438,43 @@ class Server {
   };
   /// One submission in flight between submit() and its shard's
   /// dispatcher: everything needed to find-or-create the group and
-  /// enqueue the request. Owns its weights / plan references, so a
-  /// message outliving a group eviction is self-sufficient.
+  /// enqueue the request. Owns its target reference, so a message
+  /// outliving a group eviction is self-sufficient.
   struct SubmitMsg {
-    GroupKey key;
-    std::shared_ptr<const CompressedNM> weights;
-    std::shared_ptr<model::ModelPlan> ffn_plan;
-    std::shared_ptr<model::DecoderPlan> decode_plan;
+    Target target;
     BatchRequest request;
+  };
+  /// The batch side of a request's stage record: when its batch left
+  /// the queue and ran, how, and what happened inside the window. The
+  /// request side (submitted, enqueued) rides in BatchRequest. Instants
+  /// a request never reached stay at kUnset — the bypass never queues,
+  /// a failed batch may never run.
+  struct Execution {
+    static constexpr Clock::time_point kUnset{};
+    Clock::time_point popped = kUnset;
+    Clock::time_point start = kUnset;
+    Clock::time_point end = kUnset;
+    obs::ExecLane lane = obs::ExecLane::kNone;
+    std::uint8_t flush = obs::kNoAttr;  ///< FlushReason trace byte
+    std::uint64_t repacks = 0;  ///< WeightStore repacks inside the window
   };
   /// A popped batch, ready to execute outside the lock. Holds shared
   /// ownership of its group (and through it weights / plan / telemetry),
   /// so eviction can never free state a batch still executes against.
   struct PendingBatch {
     std::shared_ptr<Group> group;
-    SpmmOptions options;
     std::vector<BatchRequest> requests;
     index_t rows = 0;
-    /// When the batch left its queue — end of each request's kQueue stage.
-    Clock::time_point popped;
-    /// Why next_batch flushed it (a trace attribute on every span).
-    FlushReason reason = FlushReason::kTimeout;
-    /// How serve_batch executed it, and the WeightStore repack events
-    /// observed during the execute window (trace attributes).
-    obs::ExecLane lane = obs::ExecLane::kCoalesce;
-    std::uint64_t exec_repacks = 0;
+    Execution exec;
+    /// requests[0, resolved) are resolved; fail_batch takes the rest.
+    std::size_t resolved = 0;
   };
   /// Reusable gather/scatter staging, owned by one dispatcher thread and
   /// keyed by batch target (weights or model plan).
   struct Staging {
     MatrixF a;
     MatrixF c;
+    std::vector<std::uint64_t> seq_ids;  ///< per staged row
   };
   using StagingMap = std::unordered_map<const void*, Staging>;
 
@@ -549,19 +550,16 @@ class Server {
   /// all option-variants of one weight matrix share a shard, so staging
   /// and coalescing stay per-target exactly as before sharding.
   [[nodiscard]] Shard& shard_of(const void* target) const;
-  /// Common post-validation path of submit / submit_ffn: bypass or
-  /// publish to the shard ring (with full-ring backpressure), wake the
-  /// dispatcher, resolve @p done on rejection.
-  std::future<Status> enqueue(GroupKey key,
-                              std::shared_ptr<const CompressedNM> weights,
-                              std::shared_ptr<model::ModelPlan> plan,
-                              std::shared_ptr<model::DecoderPlan> decode,
-                              ConstViewF A, ViewF C,
+  /// Common post-validation path of submit / submit_ffn / submit_decode:
+  /// bypass or publish to the shard ring (with full-ring backpressure),
+  /// wake the dispatcher.
+  std::future<Status> enqueue(Target target, ConstViewF A, ViewF C,
                               std::uint64_t deadline_us,
                               Clock::time_point submitted,
-                              std::promise<Status> done,
-                              std::future<Status> result,
                               std::uint64_t seq_id = 0);
+  /// The group serving @p target, created on first use. Requires
+  /// shard.mutex.
+  std::shared_ptr<Group> group_for(Shard& shard, Target target);
 
   void dispatcher_loop(Shard& shard);
   /// Pop every published ring message into its group's queue (creating
@@ -569,9 +567,6 @@ class Server {
   /// them to @p drained for the eventcount.
   std::size_t drain_ring(Shard& shard, std::uint64_t& drained,
                          std::vector<SubmitMsg>& scratch);
-  /// The row budget one batch of @p group may assemble: max_batch_rows,
-  /// additionally capped at the plan's token budget for FFN groups.
-  [[nodiscard]] index_t group_row_budget(const Group& group) const;
   /// Pop the next batch that must flush (row budget, deadline, or drain),
   /// oldest front request first when several groups are ready. Locks the
   /// shard mutex; returns an empty batch when nothing is ready.
@@ -583,24 +578,22 @@ class Server {
   /// Requires shard.mutex (group map read); staging itself is the
   /// dispatcher's own.
   void prune_staging(Shard& shard, StagingMap& staging);
+  /// Run @p target once, stamping the execute window and the repack
+  /// events inside it into @p x. The one call every serving path makes.
+  Status execute(const Target& target, Execution& x, ConstViewF a,
+                 const std::uint64_t* seq_ids, ViewF c, Status* row_status);
   /// Assemble, execute, scatter, and resolve one batch (no lock held).
   /// Returns the batch's worst Status. May throw (e.g. staging growth
-  /// failure); the dispatcher's guard turns that into an INTERNAL
-  /// resolution for the batch's futures.
+  /// failure); the dispatcher's guard then resolves the rest of the
+  /// batch through fail_batch.
   Status serve_batch(Shard& shard, PendingBatch& batch, StagingMap& staging);
-  /// Execute policy: run the batch's requests as concurrent serial
-  /// SpMMs on the engine pool, each straight on its caller's views.
-  Status serve_batch_split(Shard& shard, PendingBatch& batch);
-  /// Record @p us for @p stage into both the group and shard recorders.
-  void record_stage(Shard& shard, serve::Telemetry* group_telemetry,
-                    serve::RequestClass cls, serve::Stage stage,
-                    std::uint64_t us) const;
-  /// Account one resolved request (violation / error counters, stage
-  /// telemetry, inflight) and fulfil its promise.
-  void resolve_request(Shard& shard, PendingBatch& batch, BatchRequest& r,
-                       Clock::time_point exec_start,
-                       Clock::time_point exec_end, const Status& status);
-  /// Resolve every not-yet-resolved future of @p batch with @p status.
+  /// Resolve one request — served, failed, or expired — with @p status:
+  /// violation / error counters, the stage latencies and (when sampled)
+  /// trace spans from the same instants, the admission gauges, then the
+  /// promise. The only place a request's stage times are written.
+  void complete(Shard& shard, Group& group, BatchRequest& r,
+                const Execution& x, const Status& status);
+  /// Resolve every not-yet-resolved request of @p batch with @p status.
   void fail_batch(Shard& shard, PendingBatch& batch, const Status& status);
   /// Aggregate the live groups whose key target is @p target.
   [[nodiscard]] GroupStats target_stats(const void* target) const;
@@ -608,12 +601,6 @@ class Server {
   [[nodiscard]] serve::TelemetrySnapshot target_latency(
       const void* target) const;
 
-  /// Emit the per-stage spans of one resolved traced request (r must
-  /// carry a nonzero trace_id); @p resolved closes the kTotal span.
-  void trace_request(const Shard& shard, const PendingBatch& batch,
-                     const BatchRequest& r, Clock::time_point exec_start,
-                     Clock::time_point exec_end,
-                     Clock::time_point resolved) const;
   /// Dump the flight recorder to options_.trace_flight_path (no-op when
   /// tracing is off or the path is empty). Called by the dispatcher's
   /// exception guard after a batch failure.

@@ -8,7 +8,9 @@
 //   - resolutions carry only documented Status codes;
 //   - counters conserve: submits = served + shed + submit-deadline
 //     failures + shutdown refusals, and client-observed successes equal
-//     the server's (requests - errors) totals.
+//     the server's (requests - errors) totals;
+//   - every accepted request — served, failed, or expired — records
+//     exactly one end-to-end (kTotal) latency sample.
 //
 // The baseline storm runs in every build. The fault-schedule tests need
 // -DNMSPMM_FAULT_INJECT=ON (see FaultInjector in serve/fault.hpp): with
@@ -157,6 +159,8 @@ void expect_conserved(const Outcomes& out, const Server::Stats& stats) {
   EXPECT_EQ(out.resource_exhausted + out.deadline_exceeded,
             stats.shed_requests + stats.submit_deadline_fails +
                 stats.totals.errors);
+  // Latency accounting: one kTotal sample per accepted request.
+  EXPECT_EQ(stats.latency.total_requests(), stats.totals.requests);
 }
 
 // Fault-free storm: the invariants must hold in every build, under every

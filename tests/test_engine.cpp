@@ -194,6 +194,34 @@ TEST(EngineCache, DistinctOptionsAndWeightsGetDistinctPlans) {
   EXPECT_EQ(stats.size, 3u);
 }
 
+// The engine's pool decides threading, never the per-call option: on a
+// pooled engine every SpmmOptions::num_threads value — including an
+// explicit 1 — resolves to the same cached plan on that pool.
+TEST(EngineCache, PooledEngineFoldsEveryThreadCountIntoOnePlan) {
+  Rng rng(605);
+  const index_t k = 64, n = 64;
+  auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
+  EngineOptions opt;
+  opt.num_threads = 4;
+  Engine engine(opt);
+  ASSERT_NE(engine.pool(), nullptr);
+
+  std::vector<std::shared_ptr<const SpmmPlan>> plans;
+  for (const unsigned threads : {0u, 1u, 4u}) {
+    SpmmOptions options;
+    options.num_threads = threads;
+    auto plan = engine.plan_for(16, B, options);
+    NMSPMM_ASSERT_OK(plan.status());
+    plans.push_back(*plan);
+  }
+  EXPECT_EQ(plans[1], plans[0]) << "num_threads=1 got its own plan";
+  EXPECT_EQ(plans[2], plans[0]) << "num_threads=4 got its own plan";
+  const auto stats = engine.cache_stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.size, 1u);
+}
+
 TEST(EngineCache, EvictsLeastRecentlyUsed) {
   Rng rng(602);
   const index_t k = 64, n = 64;

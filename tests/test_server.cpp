@@ -8,7 +8,9 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <map>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -76,42 +78,66 @@ TEST(Server, CoalescedResultsMatchSerialEngineBitExactly) {
   const index_t k = 96, n = 64;
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
-  ServerOptions opt;
-  opt.max_batch_rows = 32;
-  opt.max_wait_us = 200000;  // generous: only full batches flush early
-  Server server(opt);
-
-  struct Request {
-    MatrixF a;
-    MatrixF c;
-    MatrixF expect;
-    std::future<Status> done;
+  struct Burst {
+    const char* name;
+    unsigned engine_threads;  // 0 = the default engine
+    int requests;
+    index_t rows;    // request i has rows + i % spread rows
+    index_t spread;
+    index_t max_batch_rows;
   };
-  std::vector<Request> requests;
-  for (int i = 0; i < 48; ++i) {
-    Request r;
-    r.a = random_int_matrix(1 + i % 4, k, rng);
-    r.c = MatrixF(r.a.rows(), n);
-    r.expect = reference_for(r.a.view(), *B);
-    requests.push_back(std::move(r));
-  }
-  for (Request& r : requests) {
-    r.done = server.submit(r.a.view(), B, r.c.view());
-  }
-  for (Request& r : requests) NMSPMM_ASSERT_OK(r.done.get());
+  const Burst bursts[] = {
+      // ~120 rows of 1-4 row requests against a 32-row budget.
+      {"mixed small requests", 0, 48, 1, 4, 32},
+      // Prefill-sized requests on a pooled engine: four 16-row requests
+      // fill the 64-row budget exactly, so they flush as ONE batch that
+      // runs as one pooled execution.
+      {"16-row burst, 2-thread engine", 2, 4, 16, 1, 64},
+  };
+  for (const Burst& burst : bursts) {
+    SCOPED_TRACE(burst.name);
+    ServerOptions opt;
+    opt.engine.num_threads = burst.engine_threads;
+    opt.num_shards = 1;
+    opt.max_batch_rows = burst.max_batch_rows;
+    opt.max_wait_us = 200000;  // generous: only full batches flush early
+    Server server(opt);
 
-  // Integer-valued operands: the batched product must agree bit-exactly
-  // with the per-request reference.
-  for (const Request& r : requests) {
-    EXPECT_EQ(max_abs_diff(r.expect.cview(), r.c.cview()), 0.0);
-  }
+    struct Request {
+      MatrixF a;
+      MatrixF c;
+      MatrixF expect;
+      std::future<Status> done;
+    };
+    std::vector<Request> requests;
+    for (int i = 0; i < burst.requests; ++i) {
+      Request r;
+      r.a = random_int_matrix(burst.rows + i % burst.spread, k, rng);
+      r.c = MatrixF(r.a.rows(), n);
+      r.expect = reference_for(r.a.view(), *B);
+      requests.push_back(std::move(r));
+    }
+    for (Request& r : requests) {
+      r.done = server.submit(r.a.view(), B, r.c.view());
+    }
+    for (Request& r : requests) NMSPMM_ASSERT_OK(r.done.get());
 
-  // ~120 rows submitted against a 32-row budget: requests genuinely
-  // coalesced instead of being served one by one.
-  const Server::GroupStats stats = server.weights_stats(B.get());
-  EXPECT_EQ(stats.requests, 48u);
-  EXPECT_LT(stats.batches, stats.requests);
-  EXPECT_GT(stats.full_flushes, 0u);
+    // Integer-valued operands: the batched product must agree bit-exactly
+    // with the per-request serial reference.
+    for (const Request& r : requests) {
+      EXPECT_EQ(max_abs_diff(r.expect.cview(), r.c.cview()), 0.0);
+    }
+
+    // Requests genuinely coalesced instead of being served one by one.
+    const Server::GroupStats stats = server.weights_stats(B.get());
+    EXPECT_EQ(stats.requests, static_cast<std::uint64_t>(burst.requests));
+    EXPECT_LT(stats.batches, stats.requests);
+    EXPECT_GT(stats.full_flushes, 0u);
+    EXPECT_EQ(stats.split_batches, 0u);
+    if (burst.engine_threads == 2) {
+      EXPECT_EQ(stats.batches, 1u);
+    }
+  }
 }
 
 TEST(Server, MaxWaitFlushesPartialBatch) {
@@ -345,6 +371,11 @@ TEST(Server, DispatcherGuardFailsBatchWithInternalInsteadOfTerminating) {
   const Server::GroupStats stats = server.weights_stats(B.get());
   EXPECT_EQ(stats.errors, 2u);
   EXPECT_GE(stats.batches, 2u);
+  // Failed requests stay in the latency accounting: every accepted
+  // request records exactly one end-to-end sample.
+  const Server::Stats all = server.stats();
+  EXPECT_EQ(all.latency.total_requests(), all.totals.requests);
+  EXPECT_EQ(all.latency.total_requests(), 3u);
 }
 
 TEST(Server, RejectsEpilogueOptionsOnBatchedSubmissions) {
@@ -532,8 +563,8 @@ TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
   EXPECT_EQ(latency.total_violations(), 0u);
 }
 
-// --- Sharded dispatch: the lock-free submission rings, per-shard
-// dispatchers, and the multi-core execute policy.
+// --- Sharded dispatch: the lock-free submission rings and per-shard
+// dispatchers.
 
 TEST(ServerSharded, ResultsBitExactVsUnshardedOnFixedRequestSet) {
   Rng rng(920);
@@ -590,98 +621,6 @@ TEST(ServerSharded, ResultsBitExactVsUnshardedOnFixedRequestSet) {
     EXPECT_EQ(stats.groups, weights.size());
     EXPECT_EQ(stats.totals.errors, 0u);
   }
-}
-
-TEST(ServerSharded, SplitPolicyRunsConcurrentSerialSpmmsBitExactly) {
-  Rng rng(921);
-  const index_t k = 64, n = 64;
-  auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
-
-  ServerOptions opt;
-  // The split path parks lanes on the engine pool; a pool of one (this
-  // box's default) would always fall back to coalescing, so ask for two
-  // workers explicitly.
-  opt.engine.num_threads = 2;
-  opt.execute_policy = ExecutePolicy::kSplit;
-  opt.bypass_single_rows = false;
-  opt.num_shards = 1;
-  opt.max_batch_rows = 32;
-  opt.max_wait_us = 200000;  // only full batches flush
-
-  Server server(opt);
-  struct Request {
-    MatrixF a;
-    MatrixF c;
-    MatrixF expect;
-    std::future<Status> done;
-  };
-  std::vector<Request> requests;
-  for (int i = 0; i < 8; ++i) {  // 8 x 8 rows = two full 32-row batches
-    Request r;
-    r.a = random_int_matrix(8, k, rng);
-    r.c = MatrixF(8, n);
-    r.expect = reference_for(r.a.view(), *B);
-    requests.push_back(std::move(r));
-  }
-  for (Request& r : requests) {
-    r.done = server.submit(r.a.view(), B, r.c.view());
-  }
-  for (Request& r : requests) NMSPMM_ASSERT_OK(r.done.get());
-  for (const Request& r : requests) {
-    EXPECT_EQ(max_abs_diff(r.expect.cview(), r.c.cview()), 0.0);
-  }
-
-  // The batches really took the split path: concurrent serial SpMMs
-  // straight into the callers' views, no gather/scatter.
-  const Server::GroupStats stats = server.weights_stats(B.get());
-  EXPECT_EQ(stats.requests, 8u);
-  EXPECT_GE(stats.split_batches, 1u);
-  EXPECT_EQ(stats.split_batches, stats.batches);
-}
-
-TEST(ServerSharded, AutoPolicySplitsPrefillAndCoalescesDecode) {
-  Rng rng(922);
-  const index_t k = 64, n = 64;
-  auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
-
-  ServerOptions opt;
-  opt.engine.num_threads = 2;
-  opt.execute_policy = ExecutePolicy::kAuto;
-  opt.split_min_avg_rows = 8;
-  opt.bypass_single_rows = false;
-  opt.num_shards = 1;
-  opt.max_batch_rows = 16;
-  opt.max_wait_us = 200000;
-
-  Server server(opt);
-  // Each burst totals exactly max_batch_rows, so it flushes as one full
-  // batch; only the average rows per request differs between bursts.
-  auto run_burst = [&](int count, index_t rows) {
-    std::vector<MatrixF> a, c, expect;
-    std::vector<std::future<Status>> done;
-    for (int i = 0; i < count; ++i) {
-      a.push_back(random_int_matrix(rows, k, rng));
-      c.emplace_back(rows, n);
-      expect.push_back(reference_for(a.back().view(), *B));
-    }
-    for (int i = 0; i < count; ++i) {
-      done.push_back(server.submit(a[static_cast<std::size_t>(i)].view(), B,
-                                   c[static_cast<std::size_t>(i)].view()));
-    }
-    for (auto& f : done) NMSPMM_ASSERT_OK(f.get());
-    for (int i = 0; i < count; ++i) {
-      EXPECT_EQ(max_abs_diff(expect[static_cast<std::size_t>(i)].cview(),
-                             c[static_cast<std::size_t>(i)].cview()),
-                0.0);
-    }
-  };
-
-  run_burst(/*count=*/2, /*rows=*/8);  // avg 8 >= split_min_avg_rows: splits
-  EXPECT_EQ(server.weights_stats(B.get()).split_batches, 1u);
-  run_burst(/*count=*/8, /*rows=*/2);  // decode burst, avg 2: coalesces
-  const Server::GroupStats stats = server.weights_stats(B.get());
-  EXPECT_EQ(stats.split_batches, 1u);
-  EXPECT_EQ(stats.batches, 2u);
 }
 
 TEST(ServerSharded, ConcurrentSubmittersSurviveShutdownRace) {
@@ -1242,6 +1181,189 @@ TEST(ServerTelemetry, CanBeDisabled) {
   NMSPMM_ASSERT_OK(server.submit(A.view(), B, C.view()).get());
   EXPECT_EQ(server.stats().latency.total_requests(), 0u);
   EXPECT_EQ(server.weights_stats(B.get()).requests, 1u);  // stats still on
+}
+
+// --- One target, one completion: every (target kind, serving path) pair
+// goes through the same execution call and the same stage record.
+
+enum class TargetCase { kWeights, kModelPlan, kDecoderPlan };
+enum class PathCase { kBypass, kLoneRing, kCoalesced };
+
+const char* to_string(TargetCase t) {
+  switch (t) {
+    case TargetCase::kWeights: return "plain weights";
+    case TargetCase::kModelPlan: return "ModelPlan";
+    case TargetCase::kDecoderPlan: return "DecoderPlan";
+  }
+  return "?";
+}
+
+const char* to_string(PathCase p) {
+  switch (p) {
+    case PathCase::kBypass: return "bypass";
+    case PathCase::kLoneRing: return "lone ring request";
+    case PathCase::kCoalesced: return "coalesced batch";
+  }
+  return "?";
+}
+
+/// A small GQA decoder layer (hidden 64, 4 heads over 2 KV heads of dim
+/// 16, ffn 96) on integer-valued weights.
+model::DecoderLayer small_decoder_layer(const NMConfig& cfg, Rng& rng) {
+  model::DecoderLayer layer;
+  layer.attn.n_heads = 4;
+  layer.attn.n_kv_heads = 2;
+  layer.attn.head_dim = 16;
+  const index_t hidden = 64, ffn = 96;
+  layer.qkv = shared_weights(hidden, layer.attn.qkv_dim(), cfg, rng);
+  layer.out_proj = shared_weights(layer.attn.q_dim(), hidden, cfg, rng);
+  layer.attn_norm.assign(static_cast<std::size_t>(hidden), 1.0f);
+  layer.ffn.gate = shared_weights(hidden, ffn, cfg, rng);
+  layer.ffn.up = shared_weights(hidden, ffn, cfg, rng);
+  layer.ffn.down = shared_weights(ffn, hidden, cfg, rng);
+  layer.ffn.act = Activation::kSilu;
+  layer.ffn.residual = true;
+  return layer;
+}
+
+TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
+  Rng rng(930);
+  const NMConfig cfg{2, 4, 16};
+  const index_t hidden = 64;
+  const model::DecoderLayer layer = small_decoder_layer(cfg, rng);
+
+  for (const TargetCase target :
+       {TargetCase::kWeights, TargetCase::kModelPlan,
+        TargetCase::kDecoderPlan}) {
+    for (const PathCase path :
+         {PathCase::kBypass, PathCase::kLoneRing, PathCase::kCoalesced}) {
+      SCOPED_TRACE(std::string(to_string(target)) + " / " + to_string(path));
+      const int count = path == PathCase::kCoalesced ? 2 : 1;
+      ServerOptions opt;
+      opt.num_shards = 1;
+      opt.trace_sample_n = 1;
+      opt.bypass_single_rows = path == PathCase::kBypass;
+      // A budget of exactly `count` rows and a minute-long max_wait: the
+      // ring-path requests flush together, as one full batch.
+      opt.max_batch_rows = count;
+      opt.max_wait_us = 60 * 1000 * 1000;
+      Server server(opt);
+      Engine& engine = server.engine();
+
+      // One 1-row request per sequence; the direct call runs the same
+      // rows stacked, as the dispatcher gathers them.
+      const MatrixF x = random_matrix(count, hidden, rng, -0.5f, 0.5f);
+      MatrixF want(count, hidden), got(count, hidden);
+      std::vector<std::uint64_t> seqs;
+      for (int i = 0; i < count; ++i) seqs.push_back(10 + i);
+      std::function<std::future<Status>(int)> submit;
+      const void* target_id = nullptr;
+      std::shared_ptr<const CompressedNM> weights;
+      if (target == TargetCase::kWeights) {
+        weights = shared_weights(hidden, hidden, cfg, rng);
+        target_id = weights.get();
+        NMSPMM_ASSERT_OK(engine.spmm(x.cview(), weights, want.view()));
+        submit = [&](int i) {
+          return server.submit(x.cview().block(i, 0, 1, hidden), weights,
+                               got.view().block(i, 0, 1, hidden));
+        };
+      }
+      std::shared_ptr<model::ModelPlan> ffn;
+      if (target == TargetCase::kModelPlan) {
+        auto plan = engine.plan_model(4, {layer.ffn});
+        NMSPMM_ASSERT_OK(plan.status());
+        ffn = *plan;
+        target_id = ffn.get();
+        NMSPMM_ASSERT_OK(ffn->run(x.cview(), want.view()));
+        submit = [&](int i) {
+          return server.submit_ffn(x.cview().block(i, 0, 1, hidden), ffn,
+                                   got.view().block(i, 0, 1, hidden));
+        };
+      }
+      std::shared_ptr<model::DecoderPlan> decoder;
+      if (target == TargetCase::kDecoderPlan) {
+        attn::KvCacheOptions kv;
+        kv.page_tokens = 4;
+        kv.max_tokens = 16;
+        // Decoding advances KV state, so the direct call runs on a twin
+        // plan of the same layer, from the same fresh sequences.
+        Engine twin_engine;
+        auto twin = twin_engine.plan_decoder(4, layer, kv);
+        auto plan = engine.plan_decoder(4, layer, kv);
+        NMSPMM_ASSERT_OK(twin.status());
+        NMSPMM_ASSERT_OK(plan.status());
+        decoder = *plan;
+        target_id = decoder.get();
+        std::vector<Status> rows(static_cast<std::size_t>(count));
+        for (const std::uint64_t seq : seqs) {
+          NMSPMM_ASSERT_OK((*twin)->begin_sequence(seq));
+          NMSPMM_ASSERT_OK(decoder->begin_sequence(seq));
+        }
+        NMSPMM_ASSERT_OK((*twin)->decode(x.cview(), seqs.data(), want.view(),
+                                         rows.data()));
+        for (const Status& row : rows) NMSPMM_ASSERT_OK(row);
+        submit = [&](int i) {
+          return server.submit_decode(
+              seqs[static_cast<std::size_t>(i)],
+              x.cview().block(i, 0, 1, hidden), decoder,
+              got.view().block(i, 0, 1, hidden));
+        };
+      }
+
+      std::vector<std::future<Status>> done;
+      for (int i = 0; i < count; ++i) done.push_back(submit(i));
+      for (auto& f : done) NMSPMM_ASSERT_OK(f.get());
+      EXPECT_EQ(max_abs_diff(want.cview(), got.cview()), 0.0);
+
+      const Server::Stats stats = server.stats();
+      const auto n = static_cast<std::uint64_t>(count);
+      const bool bypass = path == PathCase::kBypass;
+      EXPECT_EQ(stats.totals.bypassed, bypass ? n : 0u);
+      EXPECT_EQ(stats.totals.batches, bypass ? 0u : 1u);
+      // Per-class stage counts (1-row requests are all class decode): the
+      // bypass never queues or gathers; the ring path records all five.
+      using serve::RequestClass;
+      using serve::Stage;
+      for (const Stage stage : {Stage::kSubmit, Stage::kQueue, Stage::kGather,
+                                Stage::kExecute, Stage::kTotal}) {
+        const bool skipped =
+            bypass && (stage == Stage::kQueue || stage == Stage::kGather);
+        EXPECT_EQ(stats.latency.stage(RequestClass::kDecode, stage).count,
+                  skipped ? 0u : n)
+            << serve::to_string(stage);
+        EXPECT_EQ(stats.latency.stage(RequestClass::kPrefill, stage).count,
+                  0u);
+      }
+
+      // Spans: the same stages, each carrying the request's lane; a
+      // queued request's submit span predates its batch and has none.
+      std::map<std::uint64_t, std::map<obs::SpanKind, obs::TraceSpan>> spans;
+      for (const obs::TraceSpan& span : server.tracer()->snapshot()) {
+        if (span.trace_id == 0 || span.kind > obs::SpanKind::kTotal) continue;
+        spans[span.trace_id][span.kind] = span;
+      }
+      ASSERT_EQ(spans.size(), static_cast<std::size_t>(count));
+      const auto lane =
+          bypass ? obs::ExecLane::kBypass : obs::ExecLane::kCoalesce;
+      for (const auto& [id, kinds] : spans) {
+        EXPECT_EQ(kinds.size(), bypass ? 3u : 5u);
+        for (const auto& [kind, span] : kinds) {
+          SCOPED_TRACE(obs::to_string(kind));
+          EXPECT_EQ(span.target, static_cast<std::uint64_t>(
+                                     reinterpret_cast<std::uintptr_t>(
+                                         target_id)));
+          EXPECT_EQ(span.rows, 1u);
+          const bool pre_batch = !bypass && kind == obs::SpanKind::kSubmit;
+          EXPECT_EQ(span.lane, pre_batch ? obs::ExecLane::kNone : lane);
+          EXPECT_EQ(span.flush == obs::kNoAttr, bypass || pre_batch);
+        }
+        if (bypass) {
+          EXPECT_EQ(kinds.count(obs::SpanKind::kQueue), 0u);
+          EXPECT_EQ(kinds.count(obs::SpanKind::kGather), 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

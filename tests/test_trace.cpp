@@ -66,7 +66,7 @@ TEST(TraceRecorder, AttributesSurviveThePackedSlotRoundTrip) {
   s.kind = SpanKind::kExecute;
   s.cls = 1;
   s.flush = 2;
-  s.lane = obs::ExecLane::kSplit;
+  s.lane = obs::ExecLane::kCoalesce;  // the highest lane value
   rec.record(s);
   const auto spans = rec.snapshot();
   ASSERT_EQ(spans.size(), 1u);
