@@ -11,9 +11,9 @@ using namespace nmspmm::bench;
 
 namespace {
 
-double run(index_t m, std::shared_ptr<const CompressedNM> w,
-           ConstViewF A, ViewF C, SpmmOptions opt) {
-  const auto plan = SpmmPlan::create(m, std::move(w), opt);
+double run(std::shared_ptr<const CompressedNM> w, ConstViewF A, ViewF C,
+           SpmmOptions opt) {
+  const auto plan = SpmmPlan::create(std::move(w), opt);
   return measure_plan(plan, A, C, 0.1);
 }
 
@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
     off.packing = PackingMode::kNever;
     SpmmOptions on;
     on.packing = PackingMode::kAlways;
-    const double t_off = run(s, w, A.view(), C.view(), off);
-    const double t_on = run(s, w, A.view(), C.view(), on);
-    const auto plan_on = SpmmPlan::create(s, w, on);
+    const double t_off = run(w, A.view(), C.view(), off);
+    const double t_on = run(w, A.view(), C.view(), on);
+    const auto plan_on = SpmmPlan::create(w, on);
     packing.add_row({sparsity_label(cfg), ResultTable::fmt(t_off * 1e3, 2),
                      ResultTable::fmt(t_on * 1e3, 2),
                      ResultTable::fmt(t_on / t_off, 2),
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
     SpmmOptions v3;
     v3.variant = KernelVariant::kV3;
     v3.packing = PackingMode::kNever;
-    const double t1 = run(s, w, A.view(), C.view(), v1);
-    const double t3 = run(s, w, A.view(), C.view(), v3);
+    const double t1 = run(w, A.view(), C.view(), v1);
+    const double t3 = run(w, A.view(), C.view(), v3);
     hoist.add_row({sparsity_label(cfg), ResultTable::fmt(t1 * 1e3, 2),
                    ResultTable::fmt(t3 * 1e3, 2),
                    ResultTable::fmt(t3 / t1, 2)});
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
     const NMConfig cfg{16, 32, L};
     auto w = std::make_shared<const CompressedNM>(
         random_compressed(s, s, cfg, rng));
-    const double t = run(s, w, A.view(), C.view(), {});
+    const double t = run(w, A.view(), C.view(), {});
     lsweep.add_row({std::to_string(L), ResultTable::fmt(t * 1e3, 2),
                     ResultTable::fmt(spmm_flops(s, s, w->rows()) / t / 1e9,
                                      1)});
@@ -103,13 +103,13 @@ int main(int argc, char** argv) {
       on.packing = PackingMode::kAlways;
       SpmmOptions off;
       off.packing = PackingMode::kNever;
-      const auto plan_on = SpmmPlan::create(s, w, on);
+      const auto plan_on = SpmmPlan::create(w, on);
       pattern.add_row({identical ? "identical" : "random",
                        ResultTable::fmt(plan_on.packing_ratio(), 3),
                        ResultTable::fmt(
-                           run(s, w, A.view(), C.view(), on) * 1e3, 2),
+                           run(w, A.view(), C.view(), on) * 1e3, 2),
                        ResultTable::fmt(
-                           run(s, w, A.view(), C.view(), off) * 1e3, 2)});
+                           run(w, A.view(), C.view(), off) * 1e3, 2)});
     }
   }
   print_table(pattern);

@@ -1,11 +1,11 @@
 // Engine serving benchmark: what the serving-oriented API buys.
 //
-//   1. Parallel execute — the same plan run serially (num_threads=1) vs
-//      on a pool sized to hardware concurrency; reports the speedup of
-//      the partitioned mc/nc block loops (≈1x on single-core machines).
+//   1. Parallel execute — the same plan run serially (no pool) vs on a
+//      pool sized to hardware concurrency; reports the speedup of the
+//      partitioned mc/nc block loops (≈1x on single-core machines).
 //   2. Plan caching — a ragged stream of batch sizes served through the
-//      engine's bucketed plan cache vs re-planning per request (what the
-//      seed API forced on callers whose batch size varied).
+//      engine's plan cache (one plan for the whole stream) vs re-planning
+//      per request.
 #include "bench/bench_common.hpp"
 #include "util/timer.hpp"
 
@@ -36,12 +36,9 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Parallel execute: serial vs pool (" << m << " x " << n
             << " x " << k << ", " << cfg.to_string() << ") ===\n";
-  SpmmOptions serial;
-  serial.num_threads = 1;
-  SpmmOptions parallel;
-  parallel.num_threads = threads;
-  const auto serial_plan = SpmmPlan::create(m, weights, serial);
-  const auto parallel_plan = SpmmPlan::create(m, weights, parallel);
+  const auto pool = ThreadPool::shared(threads);
+  const auto serial_plan = SpmmPlan::create(weights, {}, nullptr);
+  const auto parallel_plan = SpmmPlan::create(weights, {}, pool);
   const double t_serial = measure_plan(serial_plan, A.view(), C.view(), 0.2);
   const double t_parallel =
       measure_plan(parallel_plan, A.view(), C.view(), 0.2);
@@ -69,7 +66,6 @@ int main(int argc, char** argv) {
       random_compressed(k, n, kSparsity875, rng));
   SpmmOptions packed_opt;
   packed_opt.packing = PackingMode::kPaperRule;
-  packed_opt.num_threads = threads;
   const index_t stream[] = {1, 4, 2, 7, 1, 16, 3, 8, 1, 2, 12, 4,
                             1, 6, 2, 1, 3, 9,  5, 8, 1, 2, 4,  1};
   std::vector<MatrixF> As;
@@ -91,8 +87,7 @@ int main(int argc, char** argv) {
   };
   auto serve_uncached = [&] {
     for (std::size_t i = 0; i < As.size(); ++i) {
-      const auto plan =
-          SpmmPlan::create(As[i].rows(), packed_weights, packed_opt);
+      const auto plan = SpmmPlan::create(packed_weights, packed_opt, pool);
       NMSPMM_CHECK_OK(plan.execute(As[i].view(), Cs[i].view()));
     }
   };

@@ -59,7 +59,7 @@ void run_measured(index_t size) {
     auto run_variant = [&](KernelVariant v) {
       SpmmOptions opt;
       opt.variant = v;
-      const auto plan = SpmmPlan::create(size, weights, opt);
+      const auto plan = SpmmPlan::create(weights, opt);
       return measure_plan(plan, A.view(), C.view());
     };
     const double v1 = run_variant(KernelVariant::kV1);

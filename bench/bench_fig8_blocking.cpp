@@ -85,7 +85,7 @@ int main(int argc, char** argv) {
           BlockingParams params = table1_preset(sc);
           params.ks = 0;
           opt.params = params;
-          const auto plan = SpmmPlan::create(m, prob.weights, opt);
+          const auto plan = SpmmPlan::create(prob.weights, opt);
           cells.push_back(ResultTable::fmt(
               measure_plan(plan, prob.a.view(), prob.c.view(), 0.05) * 1e3,
               2));

@@ -92,7 +92,7 @@ void run_measured(std::size_t num_points, index_t m_cap) {
     for (const NMConfig& cfg : {kSparsity50, kSparsity875}) {
       auto weights = std::make_shared<const CompressedNM>(
           random_compressed(k, n, cfg, rng));
-      const auto plan = SpmmPlan::create(m, weights);
+      const auto plan = SpmmPlan::create(weights);
       const double ours = measure_plan(plan, A.view(), C.view(), 0.1);
       const double nms = time_callable(
           [&] { nmsparse_like_spmm(A.view(), *weights, C.view()); }, 1, 2,

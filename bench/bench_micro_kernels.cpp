@@ -82,7 +82,7 @@ void BM_NmSpmm(benchmark::State& state) {
   auto weights = std::make_shared<const CompressedNM>(
       random_compressed(kK, kN, cfg, rng));
   MatrixF C(kM, kN);
-  const auto plan = SpmmPlan::create(kM, weights);
+  const auto plan = SpmmPlan::create(weights);
   for (auto _ : state) {
     NMSPMM_CHECK_OK(plan.execute(A.view(), C.view()));
     benchmark::DoNotOptimize(C.data());

@@ -151,15 +151,15 @@ int main(int argc, char** argv) {
 
   Rng rng(77);
   MeasuredProblem prob = make_problem(m, n, k, cfg, rng);
-  SpmmOptions base_opt;
-  base_opt.num_threads = static_cast<unsigned>(cli.get_int("threads"));
+  const auto pool =
+      ThreadPool::shared(static_cast<unsigned>(cli.get_int("threads")));
 
   std::vector<VariantResult> results;
   for (const KernelVariant variant :
        {KernelVariant::kV1, KernelVariant::kV2, KernelVariant::kV3}) {
-    SpmmOptions opt = base_opt;
+    SpmmOptions opt;
     opt.variant = variant;
-    const auto plan = SpmmPlan::create(m, prob.weights, opt);
+    const auto plan = SpmmPlan::create(prob.weights, opt, pool);
     VariantResult r;
     r.name = to_string(variant);
     r.seconds = measure_plan(plan, prob.a.view(), prob.c.view());

@@ -31,8 +31,8 @@ int main() {
       const NMMask rnd = random_mask(k, n, cfg, rng);
 
       auto error_of = [&](const NMMask& mask) {
-        const CompressedNM compressed = compress(
-            apply_mask(B.view(), mask).view(), mask);
+        const auto compressed = std::make_shared<const CompressedNM>(
+            compress(apply_mask(B.view(), mask).view(), mask));
         MatrixF c(m, n);
         NMSPMM_CHECK_OK(engine.spmm(A.view(), compressed, c.view()));
         return approximation_error(c_dense.view(), c.view());

@@ -4,7 +4,7 @@
 //   2. build a vector-wise 2:8 (75% sparsity) magnitude mask,
 //   3. compress B into the (values, index) representation of Figure 1,
 //   4. hand the weights to an Engine — plan pre-processing happens
-//      transparently on first use and is cached per batch-size bucket,
+//      transparently on first use and is cached for every batch size,
 //   5. run C = A (*) (B', D) and compare against the dense product.
 #include <cstdio>
 
@@ -38,8 +38,8 @@ int main() {
               100.0 * static_cast<double>(compressed->footprint_bytes()) /
                   (static_cast<double>(k) * n * sizeof(float)));
 
-  // The engine owns the worker pool and caches one plan per batch-size
-  // bucket: the first spmm() call plans, repeats reuse the cached plan.
+  // The engine owns the worker pool and caches one plan per weights and
+  // options: the first spmm() call plans, repeats reuse the cached plan.
   Engine engine;
   MatrixF C(m, n);
   NMSPMM_CHECK_OK(engine.spmm(A.view(), compressed, C.view()));  // plan+run

@@ -34,10 +34,13 @@ int main() {
   }
 
   // The server flushes a batch when 64 rows are pending or the oldest
-  // request has waited 200 us — whichever comes first.
+  // request has waited 200 us — whichever comes first. Single rows are
+  // always queued here: this loop submits from one thread, so with the
+  // idle-shard bypass every row would be served alone at submit.
   ServerOptions options;
   options.max_batch_rows = 64;
   options.max_wait_us = 200;
+  options.bypass_single_rows = false;
   Server server(options);
 
   Timer timer;

@@ -3,16 +3,15 @@
 // An inference server sees one long-lived weight matrix and a stream of
 // activation batches of varying row counts. The paper's workflow (offline
 // pre-processing amortized over many executions) maps onto that as a
-// plan cache: the engine keys plans by (weights identity, batch-size
-// bucket, options) and builds one transparently on first use, so
+// plan cache: the engine keeps one plan per (weights identity, options)
+// and builds it transparently on first use, so
 //
 //   nmspmm::Engine engine;
 //   engine.spmm(A.view(), weights, C.view());   // any batch size
 //
 // never fails on an unplanned shape and never re-runs pre-processing for
-// a shape it has already served. Batch sizes are bucketed (rounded up to
-// a power of two) so a ragged request stream maps onto a handful of
-// plans; a plan built for bucket m serves every batch m' <= m.
+// weights it has already served. A plan's blocking depends on the
+// weights alone, so the one plan serves every batch size.
 //
 // The engine also owns the worker pool: every cached plan executes on
 // the same threads (EngineOptions::num_threads, 0 = hardware
@@ -50,12 +49,12 @@ struct EngineOptions {
   /// Worker threads shared by every plan this engine builds.
   /// 0 = hardware concurrency; 1 = strictly serial execution.
   unsigned num_threads = 0;
-  /// Cached plans beyond this are evicted least-recently-used. Each plan
-  /// holds its pre-processing artifacts (col_info / resolved indices), so
-  /// the cap bounds memory on servers hosting many weight matrices.
+  /// Cached plans beyond this are evicted least-recently-used. A plan
+  /// holds a lease on its weights' packed form in the WeightStore, so
+  /// evicting the last plan of a weight lets the store release those
+  /// bytes; the cap bounds memory on servers hosting many weight
+  /// matrices.
   std::size_t plan_cache_capacity = 64;
-  /// Smallest planned batch: requests with m below this share one plan.
-  index_t min_batch_bucket = 16;
   /// Weight residency of every plan this engine builds
   /// (mem/weight_store.hpp). kPackedOnly releases the original B' value
   /// buffer after pre-packing: steady-state resident weight bytes drop
@@ -83,23 +82,11 @@ class Engine {
   Status spmm(ConstViewF A, std::shared_ptr<const CompressedNM> B, ViewF C,
               SpmmOptions options = {});
 
-  /// Convenience overload for caller-owned weights. The engine deep-copies
-  /// @p B once, remembers the copy keyed by the caller's matrix identity
-  /// (address + buffer + shape + config + a sampled content fingerprint),
-  /// and routes every subsequent call through the plan cache — the
-  /// deprecated nm_spmm() shim is O(weights) on first contact with a
-  /// matrix, not per request. A *different* matrix reusing the address is
-  /// detected; mutating the same matrix in place between calls is caught
-  /// only when a sampled position changes, so treat wrapped weights as
-  /// immutable. Prefer the shared_ptr overload for serving: it never
-  /// copies at all.
-  Status spmm(ConstViewF A, const CompressedNM& B, ViewF C,
-              SpmmOptions options = {});
-
-  /// Fetch (building if needed) the cached plan serving batches of up to
-  /// m rows. The returned plan is immutable and safe to execute from any
-  /// thread; it stays valid after eviction as long as the caller holds
-  /// the shared_ptr.
+  /// Fetch (building if needed) the cached plan of (@p B, @p options),
+  /// which serves every batch size. @p m must be positive and is
+  /// otherwise unused. The returned plan is immutable and safe to
+  /// execute from any thread; it stays valid after eviction as long as
+  /// the caller holds the shared_ptr.
   StatusOr<std::shared_ptr<const SpmmPlan>> plan_for(
       index_t m, std::shared_ptr<const CompressedNM> B,
       SpmmOptions options = {});
@@ -152,31 +139,9 @@ class Engine {
     return store_;
   }
 
-  /// The per-call thread-count value this engine actually plans with
-  /// (the engine's pool or serial mode decides threading, not the
-  /// caller's option): 1 when strictly serial, else 0. Callers building
-  /// keys that must match the plan cache — the serving layer's batch
-  /// groups — normalize through this so the rules cannot diverge. Every
-  /// SpmmOptions::num_threads value folds into it, so a pooled engine
-  /// caches one plan per (weights, bucket, options) whatever the caller
-  /// passed.
-  [[nodiscard]] unsigned normalized_num_threads() const {
-    return options_.num_threads == 1 ? 1u : 0u;
-  }
-
-  /// Round a batch size up to its plan bucket: min_bucket for small
-  /// batches, the next power of two beyond that. Batches beyond the
-  /// largest representable power of two (2^62 for int64 index_t) get an
-  /// exact bucket of m itself instead of overflowing.
-  static index_t bucket_batch(index_t m, index_t min_bucket);
-
-  /// Process-global engine backing the deprecated nm_spmm() shim.
-  static Engine& global();
-
  private:
   struct Key {
     const CompressedNM* weights = nullptr;
-    index_t bucket_m = 0;
     SpmmOptions options;
 
     friend bool operator==(const Key&, const Key&) = default;
@@ -194,22 +159,6 @@ class Engine {
     /// different matrix that reused the address.
     std::weak_ptr<const CompressedNM> origin;
   };
-  /// One remembered deep copy of caller-owned weights (the raw-reference
-  /// spmm overload). The identity fields plus a sampled content
-  /// fingerprint detect address reuse and in-place mutation, so a stale
-  /// wrapper cannot be served for a matrix that changed.
-  struct WrappedWeights {
-    const void* values_data = nullptr;
-    index_t orig_rows = 0;
-    index_t cols = 0;
-    NMConfig config;
-    std::uint64_t fingerprint = 0;
-    std::shared_ptr<const CompressedNM> copy;
-  };
-
-  /// Deep-copy @p B on first contact (or identity change) and reuse the
-  /// cached copy after, giving the raw reference a stable cache key.
-  std::shared_ptr<const CompressedNM> wrap_weights(const CompressedNM& B);
 
   EngineOptions options_;
   std::shared_ptr<ThreadPool> pool_;  ///< null when running serially
@@ -218,7 +167,6 @@ class Engine {
   mutable std::mutex mutex_;
   std::list<Entry> lru_;  ///< front = most recently used
   std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
-  std::unordered_map<const CompressedNM*, WrappedWeights> wrapped_;
   CacheStats stats_;
 };
 

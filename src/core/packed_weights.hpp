@@ -24,10 +24,10 @@
 //
 // Residency of the packed forms is owned by mem::WeightStore
 // (src/mem/weight_store.hpp): one PackedWeights is built per
-// (weights, ks, ns, kind) and every batch-size bucket of the plan cache
-// shares it through a store lease, which also enforces the byte budget
-// and the packed-only mode. The footprint is ~B' again (values +
-// padding) plus 2x the D index matrix — see footprint_bytes().
+// (weights, ks, ns, kind) and every plan of those weights under that
+// blocking shares it through a store lease, which also enforces the
+// byte budget and the packed-only mode. The footprint is ~B' again
+// (values + padding) plus 2x the D index matrix — see footprint_bytes().
 #pragma once
 
 #include <cstdint>

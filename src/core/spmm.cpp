@@ -12,10 +12,8 @@ std::size_t hash_value(const SpmmOptions& o) {
   hash_combine(h, static_cast<std::size_t>(o.variant));
   hash_combine(h, static_cast<std::size_t>(o.packing));
   hash_combine(h, o.rescale ? 1u : 0u);
-  hash_combine(h, o.num_threads);
   hash_combine(h, hash_value(o.epilogue));
   hash_combine(h, hash_value(o.prologue));
-  hash_combine(h, static_cast<std::size_t>(o.residency));
   if (o.params) {
     const BlockingParams& p = *o.params;
     for (index_t f : {p.ms, p.ns, p.ks, p.mt, p.nt, p.mr, p.nr}) {
@@ -25,36 +23,35 @@ std::size_t hash_value(const SpmmOptions& o) {
   return h;
 }
 
-SpmmPlan SpmmPlan::create(index_t m, CompressedNM B, SpmmOptions options) {
-  return create(m, std::make_shared<const CompressedNM>(std::move(B)),
-                std::move(options));
+SpmmPlan SpmmPlan::create(CompressedNM B, SpmmOptions options,
+                          std::shared_ptr<ThreadPool> pool) {
+  return create(std::make_shared<const CompressedNM>(std::move(B)),
+                std::move(options), std::move(pool));
 }
 
-SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
+SpmmPlan SpmmPlan::create(std::shared_ptr<const CompressedNM> B,
                           SpmmOptions options,
                           std::shared_ptr<ThreadPool> pool,
-                          std::shared_ptr<mem::WeightStore> store) {
+                          std::shared_ptr<mem::WeightStore> store,
+                          mem::ResidencyMode residency) {
   NMSPMM_CHECK(B != nullptr);
-  NMSPMM_CHECK_MSG(m >= 1, "planned batch m must be positive");
   NMSPMM_CHECK_MSG(!(options.epilogue.active() && options.rescale),
                    "epilogue fusion is incompatible with rescale: the M/N "
                    "scale must precede the activation");
   NMSPMM_CHECK_MSG(!options.epilogue.act_on_other || options.epilogue.mul,
                    "epilogue act_on_other requires mul");
   NMSPMM_CHECK_MSG(options.variant != KernelVariant::kReference ||
-                       options.residency == mem::ResidencyMode::kDefault,
+                       residency == mem::ResidencyMode::kDefault,
                    "the reference variant reads B' values on every execute "
                    "and cannot run under packed-only residency");
   B->config.validate();
   SpmmPlan plan;
   plan.weights_ = std::move(B);
   plan.options_ = options;
-  plan.planned_m_ = m;
-  // A plan never spawns threads per call: it borrows the injected
-  // (Engine's) pool, aliases the process-global one, or — for an
-  // explicit non-default thread count — owns a pool built once here.
-  plan.pool_ = pool != nullptr ? std::move(pool)
-                               : ThreadPool::shared(options.num_threads);
+  plan.residency_ = residency;
+  // A plan never spawns threads per call: it runs on the pool it was
+  // given (the global one by default), or serially when that is null.
+  plan.pool_ = std::move(pool);
 
   const CompressedNM& w = *plan.weights_;
   plan.params_ = options.params.value_or(cpu_blocking(w.config, w.orig_rows));
@@ -81,15 +78,15 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
   // Offline pre-processing, all folded into the plan-time pre-packed
   // weights (Listing 3 lines 2-6 collapse into PackedWeights::build):
   // tile-resident B' plus flattened index streams, interned through the
-  // WeightStore so every batch-size bucket of one weight matrix shares
-  // a single packed form — and so the store can budget, evict, and
-  // NUMA-place it.
+  // WeightStore so every plan of one weight matrix under the same
+  // blocking shares a single packed form — and so the store can budget,
+  // evict, and NUMA-place it.
   if (options.variant != KernelVariant::kReference) {
     if (store == nullptr) store = mem::WeightStore::global();
     plan.lease_ = store->acquire(
         plan.weights_, plan.params_.ks, plan.params_.ns,
         packed_kind_for(options.variant, plan.use_packing_),
-        options.residency, plan.pool_);
+        residency, plan.pool_);
     {
       // Freshly acquired leases are resident; record the structural
       // packing ratio now so later stats never force a repack.
@@ -98,7 +95,7 @@ SpmmPlan SpmmPlan::create(index_t m, std::shared_ptr<const CompressedNM> B,
       // Permanently resident forms skip the per-execute pin round-trip.
       if (!plan.lease_->evictable()) plan.packed_ = payload;
     }
-    if (options.residency == mem::ResidencyMode::kPackedOnly) {
+    if (residency == mem::ResidencyMode::kPackedOnly) {
       // Release the original B' value buffer: the packed form is now
       // the only resident copy of the weight values. The stripped
       // matrix keeps shape/config/indices for execute-time validation.
@@ -130,13 +127,6 @@ Status SpmmPlan::execute(ConstViewF A, ViewF C,
     os << "C is " << C.rows() << "x" << C.cols() << " but must be "
        << A.rows() << "x" << B.cols;
     return Status::InvalidArgument(os.str());
-  }
-  if (A.rows() > planned_m_) {
-    std::ostringstream os;
-    os << "batch m=" << A.rows() << " exceeds the planned m=" << planned_m_
-       << "; create a plan for the larger batch or route the call through "
-          "nmspmm::Engine, which re-plans per batch-size bucket";
-    return Status::FailedPrecondition(os.str());
   }
   NMSPMM_RETURN_IF_ERROR(validate_epilogue(options_.epilogue, epilogue_args,
                                            C.rows(), C.cols()));

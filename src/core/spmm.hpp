@@ -2,10 +2,11 @@
 //
 // SpmmPlan mirrors the workflow of the released library: build a plan
 // once per weight matrix (offline pre-processing: parameter selection,
-// col_info, index reordering), then execute it per activation batch.
-// Most callers should not manage plans by hand — `nmspmm::Engine`
-// (core/engine.hpp) caches plans across batch shapes and owns the worker
-// pool; the typical serving loop is:
+// col_info, index reordering), then execute it against activation
+// batches of any row count. Most callers should not manage plans by
+// hand — `nmspmm::Engine` (core/engine.hpp) caches one plan per
+// (weights, options) and owns the worker pool; the typical serving loop
+// is:
 //
 //   auto Bc = std::make_shared<const nmspmm::CompressedNM>(
 //       nmspmm::compress(B.view(), nmspmm::magnitude_mask(B.view(), cfg)));
@@ -15,12 +16,11 @@
 //
 // Direct plan management remains available for ablations and benches:
 //
-//   auto plan = nmspmm::SpmmPlan::create(m, std::move(Bc));
+//   auto plan = nmspmm::SpmmPlan::create(std::move(Bc));
 //   NMSPMM_CHECK_OK(plan.execute(A.view(), C.view()));
 //
-// execute() returns a Status instead of throwing: a batch larger than the
-// planned m, or mismatched operand shapes, come back as recoverable
-// errors a server can reject per-request.
+// execute() returns a Status instead of throwing: mismatched operand
+// shapes come back as recoverable errors a server can reject per-request.
 #pragma once
 
 #include <memory>
@@ -51,15 +51,10 @@ struct SpmmOptions {
   PackingMode packing = PackingMode::kNever;
   /// Override the CPU blocking (ks of 0 is derived from Eq. 5). Unset,
   /// the plan uses cpu_blocking(): fixed ms/ns and a ks that depends on
-  /// the weights alone, so every batch size shares one packed form.
+  /// the weights alone, so one plan serves every batch size.
   std::optional<BlockingParams> params;
   /// Apply the Eq. 1 M/N rescale (off for magnitude-pruned inference).
   bool rescale = false;
-  /// Worker threads for execute(): 0 = hardware concurrency (the shared
-  /// global pool), 1 = strictly serial (bit-exact reference ordering —
-  /// though parallel runs are bit-exact too, see spmm_kernels.hpp).
-  /// Plans built by an Engine run on the engine's pool instead.
-  unsigned num_threads = 0;
   /// Post-ops fused into the final k-chunk's stores (bias, SiLU/GELU,
   /// elementwise mul, residual add — see core/epilogue.hpp). Structural
   /// only: the operands are bound per call via execute(A, C,
@@ -72,13 +67,6 @@ struct SpmmOptions {
   /// rows land in thread-local staging, so the caller's A (the residual
   /// stream) is never rewritten.
   PrologueSpec prologue;
-  /// Weight residency of the plan (mem/weight_store.hpp). kPackedOnly
-  /// releases the original B' value buffer after pre-packing, serving
-  /// from the packed form alone (~1x packed footprint); the reference
-  /// variant and values-consuming compat paths are then rejected.
-  /// Engines overwrite this from EngineOptions::residency, exactly like
-  /// num_threads.
-  mem::ResidencyMode residency = mem::ResidencyMode::kDefault;
 
   friend bool operator==(const SpmmOptions&, const SpmmOptions&) = default;
 };
@@ -89,28 +77,35 @@ std::size_t hash_value(const SpmmOptions& options);
 
 class SpmmPlan {
  public:
-  /// Build a plan for products with up to m rows of activations against
-  /// the compressed weights @p B. Performs all offline pre-processing the
+  /// Build a plan for products of any activation batch against the
+  /// compressed weights @p B. Performs all offline pre-processing the
   /// selected variant needs. Throws CheckError on invalid configuration
   /// (Engine::plan_for wraps this into a StatusOr).
-  static SpmmPlan create(index_t m, CompressedNM B, SpmmOptions options = {});
-  /// Convenience overload sharing an existing compressed matrix. A
-  /// non-null @p pool overrides options.num_threads (the Engine injects
-  /// its shared pool this way). @p store owns the packed-weight
-  /// residency (interning, budget, NUMA placement); null uses the
-  /// process-global unbudgeted store.
-  static SpmmPlan create(index_t m, std::shared_ptr<const CompressedNM> B,
-                         SpmmOptions options = {},
-                         std::shared_ptr<ThreadPool> pool = nullptr,
-                         std::shared_ptr<mem::WeightStore> store = nullptr);
+  ///
+  /// execute() runs on @p pool: the process-global pool by default,
+  /// ThreadPool::shared(n) for a dedicated n-thread pool, null for
+  /// strictly serial execution (bit-exact reference ordering — though
+  /// parallel runs are bit-exact too, see spmm_kernels.hpp). @p store
+  /// owns the packed-weight residency (interning, budget, NUMA
+  /// placement); null uses the process-global unbudgeted store.
+  /// @p residency kPackedOnly releases the original B' value buffer
+  /// after pre-packing, serving from the packed form alone (~1x packed
+  /// footprint); the reference variant and values-consuming compat
+  /// paths are then rejected.
+  static SpmmPlan create(
+      std::shared_ptr<const CompressedNM> B, SpmmOptions options = {},
+      std::shared_ptr<ThreadPool> pool = ThreadPool::shared(0),
+      std::shared_ptr<mem::WeightStore> store = nullptr,
+      mem::ResidencyMode residency = mem::ResidencyMode::kDefault);
+  /// Convenience overload taking ownership of (a copy of) the weights.
+  static SpmmPlan create(
+      CompressedNM B, SpmmOptions options = {},
+      std::shared_ptr<ThreadPool> pool = ThreadPool::shared(0));
 
-  /// C = A (*) (B, D). A must be m' x k with m' <= planned_m() (the
-  /// blocking stays valid for smaller batches); C must be m' x n.
-  /// Returns InvalidArgument on shape mismatches and FailedPrecondition
-  /// when the batch exceeds the planned m — use an Engine to serve
-  /// arbitrary batch sizes. When the plan's options carry an active
-  /// EpilogueSpec, the epilogue operands must be supplied through the
-  /// three-argument overload.
+  /// C = A (*) (B, D). A must be m x k for any m, C must be m x n.
+  /// Returns InvalidArgument on shape mismatches. When the plan's
+  /// options carry an active EpilogueSpec, the epilogue operands must be
+  /// supplied through the three-argument overload.
   [[nodiscard]] Status execute(ConstViewF A, ViewF C) const;
   /// As above, binding @p epilogue_args to the plan's EpilogueSpec: the
   /// final k-chunk's stores apply C = act(acc + bias) (*) other (see
@@ -120,13 +115,10 @@ class SpmmPlan {
   [[nodiscard]] Status execute(ConstViewF A, ViewF C,
                                const EpilogueArgs& epilogue_args) const;
 
-  [[nodiscard]] index_t planned_m() const { return planned_m_; }
   [[nodiscard]] const BlockingParams& params() const { return params_; }
   [[nodiscard]] KernelVariant variant() const { return options_.variant; }
   [[nodiscard]] bool uses_packing() const { return use_packing_; }
-  [[nodiscard]] mem::ResidencyMode residency() const {
-    return options_.residency;
-  }
+  [[nodiscard]] mem::ResidencyMode residency() const { return residency_; }
   /// The weights the plan validates against. Under kPackedOnly this is
   /// the values-stripped form (shape + config + index matrix only); the
   /// value bytes live solely in the packed form.
@@ -138,8 +130,8 @@ class SpmmPlan {
   /// The permanently resident pre-packed weights (null for the
   /// kReference variant, and for plans whose store lease is evictable —
   /// those pin per execute instead; see weight_lease()). Pre-packed
-  /// forms are interned: plans for different batch-size buckets of the
-  /// same weights under the same blocking share one instance.
+  /// forms are interned: plans for the same weights under the same
+  /// blocking (e.g. differing only in their epilogue) share one instance.
   [[nodiscard]] const std::shared_ptr<const PackedWeights>& packed_weights()
       const {
     return packed_;
@@ -159,7 +151,7 @@ class SpmmPlan {
   std::shared_ptr<const CompressedNM> weights_;
   SpmmOptions options_;
   BlockingParams params_;
-  index_t planned_m_ = 0;
+  mem::ResidencyMode residency_ = mem::ResidencyMode::kDefault;
   bool use_packing_ = false;
   double packing_ratio_ = 1.0;
   std::shared_ptr<ThreadPool> pool_;  ///< null: strictly serial execute
@@ -169,12 +161,5 @@ class SpmmPlan {
   /// skips the pin round-trip entirely.
   std::shared_ptr<const PackedWeights> packed_;
 };
-
-/// One-shot convenience wrapper: plan + execute through the process-global
-/// Engine. Deprecated: use Engine::spmm, which reuses plans across calls
-/// and reports errors as Status instead of throwing.
-[[deprecated("use nmspmm::Engine::spmm")]]
-void nm_spmm(ConstViewF A, const CompressedNM& B, ViewF C,
-             SpmmOptions options = {});
 
 }  // namespace nmspmm

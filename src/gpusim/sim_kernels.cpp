@@ -189,9 +189,9 @@ void sim_dense_gemm(Simulator& sim, ConstViewF A, ConstViewF B, ViewF C,
 namespace {
 
 /// Shared implementation of the two NM-SpMM device kernels.
-void sim_nm_spmm_impl(Simulator& sim, ConstViewF A, const CompressedNM& B,
-                      ViewF C, const BlockingParams& params,
-                      const ColInfo* col_info) {
+void sim_spmm_impl(Simulator& sim, ConstViewF A, const CompressedNM& B,
+                   ViewF C, const BlockingParams& params,
+                   const ColInfo* col_info) {
   const NMConfig& cfg = B.config;
   NMSPMM_CHECK(A.cols() == B.orig_rows);
   NMSPMM_CHECK(C.rows() == A.rows() && C.cols() == B.cols);
@@ -316,16 +316,16 @@ void sim_nm_spmm_impl(Simulator& sim, ConstViewF A, const CompressedNM& B,
 
 }  // namespace
 
-void sim_nm_spmm(Simulator& sim, ConstViewF A, const CompressedNM& B,
-                 ViewF C, const BlockingParams& params) {
-  sim_nm_spmm_impl(sim, A, B, C, params, nullptr);
+void sim_spmm(Simulator& sim, ConstViewF A, const CompressedNM& B,
+              ViewF C, const BlockingParams& params) {
+  sim_spmm_impl(sim, A, B, C, params, nullptr);
 }
 
-void sim_nm_spmm_packed(Simulator& sim, ConstViewF A, const CompressedNM& B,
-                        ViewF C, const BlockingParams& params,
-                        const ColInfo& col_info) {
+void sim_spmm_packed(Simulator& sim, ConstViewF A, const CompressedNM& B,
+                     ViewF C, const BlockingParams& params,
+                     const ColInfo& col_info) {
   NMSPMM_CHECK(col_info.ks() == params.ks && col_info.ns() == params.ns);
-  sim_nm_spmm_impl(sim, A, B, C, params, &col_info);
+  sim_spmm_impl(sim, A, B, C, params, &col_info);
 }
 
 }  // namespace nmspmm::gpusim

@@ -21,14 +21,14 @@ void sim_dense_gemm(Simulator& sim, ConstViewF A, ConstViewF B, ViewF C,
 
 /// NM-SpMM on the simulated device, non-packing strategy (Listings 1-2):
 /// the full ms x ks working set of A is staged into shared memory.
-void sim_nm_spmm(Simulator& sim, ConstViewF A, const CompressedNM& B,
-                 ViewF C, const BlockingParams& params);
+void sim_spmm(Simulator& sim, ConstViewF A, const CompressedNM& B,
+              ViewF C, const BlockingParams& params);
 
 /// NM-SpMM with the high-sparsity packing strategy (Listing 3): As is
 /// staged through col_info, shrinking both shared-memory footprint and
 /// counted global traffic. @p col_info must match (ks, ns) of @p params.
-void sim_nm_spmm_packed(Simulator& sim, ConstViewF A, const CompressedNM& B,
-                        ViewF C, const BlockingParams& params,
-                        const ColInfo& col_info);
+void sim_spmm_packed(Simulator& sim, ConstViewF A, const CompressedNM& B,
+                     ViewF C, const BlockingParams& params,
+                     const ColInfo& col_info);
 
 }  // namespace nmspmm::gpusim

@@ -7,7 +7,7 @@
 // registry. The WeightStore centralizes all of it:
 //
 //   - Interning: one PackedWeights per live (weights identity, ks, ns,
-//     kind), shared by every batch-size bucket, engine and model plan
+//     kind), shared by every engine and model plan of those weights
 //     through a WeightLease. Entries die with their last lease, exactly
 //     like the old registry — but now the store can also account and
 //     evict them.

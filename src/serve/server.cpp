@@ -263,15 +263,12 @@ std::future<Status> Server::submit(ConstViewF A,
        << A.rows() << "x" << B->cols;
     return ready(Status::InvalidArgument(os.str()));
   }
-  if (options.epilogue.active()) {
+  if (options.epilogue.active() || options.prologue.active()) {
     return ready(Status::InvalidArgument(
-        "batched submissions cannot carry epilogue operands; submit whole "
-        "FFN blocks through submit_ffn instead"));
+        "batched submissions cannot carry epilogue or prologue operands; "
+        "submit whole FFN blocks through submit_ffn instead"));
   }
-  // Requests batch only when one plan serves them all: normalize the
-  // thread count exactly as the engine does for its cache key.
-  options.num_threads = engine_.normalized_num_threads();
-  Target target{B, options, B->orig_rows, B->cols};
+  Target target{B, std::move(options), B->orig_rows, B->cols};
   return enqueue(std::move(target), A, C, deadline_us, submitted);
 }
 

@@ -6,7 +6,8 @@
 // batches. Serving each row as its own SpMM re-reads the whole compressed
 // weight matrix per request; coalescing concurrent requests against the
 // same weights into one batched SpMM reads it once and rides the Engine's
-// bucketed plan cache. The Server implements that coalescing:
+// plan cache (one plan per weights and options, whatever the batch size).
+// The Server implements that coalescing:
 //
 //   nmspmm::Server server;                        // owns an Engine
 //   auto f1 = server.submit(a1.view(), weights, c1.view());
@@ -227,9 +228,9 @@ class Server {
   /// — see ServerOptions::bypass_single_rows, in which case the future is
   /// already resolved on return). A and C must stay alive until then.
   /// Shape/argument errors resolve the future immediately without
-  /// enqueuing. @p options must carry an inactive EpilogueSpec (epilogue
-  /// operands cannot ride a batched submission; use submit_ffn for the
-  /// fused-FFN workload).
+  /// enqueuing. @p options must carry an inactive EpilogueSpec and
+  /// PrologueSpec (epilogue operands and the RMSNorm gain cannot ride a
+  /// batched submission; use submit_ffn for the fused-FFN workload).
   ///
   /// Lock-free: after validation the request is published onto its
   /// shard's MPSC ring with a single CAS — no mutex is ever taken on

@@ -74,7 +74,7 @@ EpilogueArgs args_for(const Problem& p, const EpilogueSpec& spec) {
 MatrixF unfused_expect(const Problem& p, SpmmOptions opt,
                        const EpilogueSpec& spec) {
   opt.epilogue = EpilogueSpec{};
-  const auto plan = SpmmPlan::create(p.a.rows(), p.weights, opt);
+  const auto plan = SpmmPlan::create(p.weights, opt);
   MatrixF c(p.a.rows(), p.weights->cols);
   plan.execute(p.a.view(), c.view()).check_ok();
   hand_rolled(spec, p.bias.data(), p.other.cview(), p.residual.cview(),
@@ -195,12 +195,12 @@ TEST(Epilogue, FusedMatchesUnfusedAcrossVariantsThreadsAndShapes) {
       for (const unsigned threads : {1u, 4u}) {
         SpmmOptions opt;
         opt.variant = variant;
-        opt.num_threads = threads;
         opt.params = small_ks_params(cfg, shape.k);
+        const auto pool = ThreadPool::shared(threads);
         for (const EpilogueSpec& spec : all_specs()) {
           opt.epilogue = spec;
           const MatrixF want = unfused_expect(p, opt, spec);
-          const auto plan = SpmmPlan::create(shape.m, p.weights, opt);
+          const auto plan = SpmmPlan::create(p.weights, opt, pool);
           MatrixF got(shape.m, shape.n);
           NMSPMM_ASSERT_OK(
               plan.execute(p.a.view(), got.view(), args_for(p, spec)));
@@ -228,7 +228,7 @@ TEST(Epilogue, FusedMatchesUnfusedOnBothV3PackingPaths) {
     opt.params = small_ks_params(cfg, p.weights->orig_rows);
     opt.epilogue = spec;
     const MatrixF want = unfused_expect(p, opt, spec);
-    const auto plan = SpmmPlan::create(21, p.weights, opt);
+    const auto plan = SpmmPlan::create(p.weights, opt);
     MatrixF got(21, 72);
     NMSPMM_ASSERT_OK(plan.execute(p.a.view(), got.view(), args_for(p, spec)));
     EXPECT_EQ(max_abs_diff(want.cview(), got.cview()), 0.0)
@@ -291,14 +291,14 @@ TEST(Epilogue, ReferenceVariantMatchesFusedKernels) {
   SpmmOptions ref_opt;
   ref_opt.variant = KernelVariant::kReference;
   ref_opt.epilogue = spec;
-  const auto ref_plan = SpmmPlan::create(12, p.weights, ref_opt);
+  const auto ref_plan = SpmmPlan::create(p.weights, ref_opt);
   MatrixF want(12, 64);
   NMSPMM_ASSERT_OK(ref_plan.execute(p.a.view(), want.view(),
                                     args_for(p, spec)));
 
   SpmmOptions opt;
   opt.epilogue = spec;
-  const auto plan = SpmmPlan::create(12, p.weights, opt);
+  const auto plan = SpmmPlan::create(p.weights, opt);
   MatrixF got(12, 64);
   NMSPMM_ASSERT_OK(plan.execute(p.a.view(), got.view(), args_for(p, spec)));
   EXPECT_EQ(max_abs_diff(want.cview(), got.cview()), 0.0);
@@ -325,7 +325,7 @@ TEST(Epilogue, FloatOperandsStayWithinUlpScaleOfReference) {
 
   SpmmOptions opt;
   opt.epilogue = spec;
-  const auto plan = SpmmPlan::create(m, B, opt);
+  const auto plan = SpmmPlan::create(B, opt);
   MatrixF got(m, n);
   EpilogueArgs args;
   args.other = other.cview();
@@ -342,7 +342,7 @@ TEST(Epilogue, ValidatesOperandsAndRejectsBadCombinations) {
   spec.mul = true;
   SpmmOptions opt;
   opt.epilogue = spec;
-  const auto plan = SpmmPlan::create(8, p.weights, opt);
+  const auto plan = SpmmPlan::create(p.weights, opt);
   MatrixF c(8, 48);
 
   // Missing bias pointer.
@@ -366,7 +366,7 @@ TEST(Epilogue, ValidatesOperandsAndRejectsBadCombinations) {
   add_spec.add = true;
   SpmmOptions add_opt;
   add_opt.epilogue = add_spec;
-  const auto add_plan = SpmmPlan::create(8, p.weights, add_opt);
+  const auto add_plan = SpmmPlan::create(p.weights, add_opt);
   EXPECT_EQ(add_plan.execute(p.a.view(), c.view()).code(),
             StatusCode::kInvalidArgument);
   EpilogueArgs bad_residual;
@@ -384,12 +384,12 @@ TEST(Epilogue, ValidatesOperandsAndRejectsBadCombinations) {
   // nonlinearity); act_on_other without mul has no operand to activate.
   SpmmOptions bad = opt;
   bad.rescale = true;
-  EXPECT_THROW(SpmmPlan::create(8, p.weights, bad), CheckError);
+  EXPECT_THROW(SpmmPlan::create(p.weights, bad), CheckError);
   SpmmOptions dangling;
   dangling.epilogue.act_on_other = true;
   dangling.epilogue.mul = false;
   dangling.epilogue.act = Activation::kSilu;
-  EXPECT_THROW(SpmmPlan::create(8, p.weights, dangling), CheckError);
+  EXPECT_THROW(SpmmPlan::create(p.weights, dangling), CheckError);
 
   // Engine surfaces the same misuse as Status instead of throwing.
   Engine engine;

@@ -192,7 +192,7 @@ TEST(SimKernels, NmSpmmMatchesReference) {
   spmm_reference(A.view(), B, expect.view());
   BlockingParams p = table1_preset(SizeClass::kSmall);
   p.ks = 64;
-  sim_nm_spmm(sim, A.view(), B, got.view(), p);
+  sim_spmm(sim, A.view(), B, got.view(), p);
   EXPECT_EQ(max_abs_diff(expect.cview(), got.cview()), 0.0);
 }
 
@@ -208,7 +208,7 @@ TEST(SimKernels, PackedNmSpmmMatchesReference) {
   BlockingParams p = table1_preset(SizeClass::kSmall);
   p.ks = 64;
   const ColInfo info = build_col_info(B, p.ks, p.ns);
-  sim_nm_spmm_packed(sim, A.view(), B, got.view(), p, info);
+  sim_spmm_packed(sim, A.view(), B, got.view(), p, info);
   EXPECT_EQ(max_abs_diff(expect.cview(), got.cview()), 0.0);
 }
 
@@ -231,9 +231,9 @@ TEST(SimKernels, PackingReducesCountedTraffic) {
   MatrixF C(m, n);
 
   Simulator nonpacked(a100_80g());
-  sim_nm_spmm(nonpacked, A.view(), B, C.view(), p);
+  sim_spmm(nonpacked, A.view(), B, C.view(), p);
   Simulator packed(a100_80g());
-  sim_nm_spmm_packed(packed, A.view(), B, C.view(), p, info);
+  sim_spmm_packed(packed, A.view(), B, C.view(), p, info);
   EXPECT_LT(packed.stats().gmem_load_bytes(),
             0.5 * nonpacked.stats().gmem_load_bytes());
 }
@@ -247,7 +247,7 @@ TEST(SimKernels, BlockedLayoutIsBankConflictFree) {
   MatrixF C(32, 32);
   BlockingParams p = table1_preset(SizeClass::kSmall);
   p.ks = 32;
-  sim_nm_spmm(sim, A.view(), B, C.view(), p);
+  sim_spmm(sim, A.view(), B, C.view(), p);
   EXPECT_EQ(sim.stats().smem_bank_conflicts, 0u);
 }
 

@@ -51,9 +51,9 @@ TEST(Integration, SevenImplementationsAgree) {
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "sputnik";
 
   gpusim::Simulator sim(gpusim::a100_80g());
-  sim_nm_spmm(sim, A.view(), B, c.view(), p);
+  sim_spmm(sim, A.view(), B, c.view(), p);
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "sim";
-  sim_nm_spmm_packed(sim, A.view(), B, c.view(), p, info);
+  sim_spmm_packed(sim, A.view(), B, c.view(), p, info);
   EXPECT_EQ(max_abs_diff(expect.cview(), c.cview()), 0.0) << "sim packed";
 }
 
@@ -62,7 +62,7 @@ TEST(Integration, PlanReusableAcrossBatches) {
   const NMConfig cfg{4, 8, 8};
   const index_t k = 96, n = 64;
   const CompressedNM B = random_compressed_int(k, n, cfg, rng);
-  auto plan = SpmmPlan::create(128, B);
+  auto plan = SpmmPlan::create(B);
   for (const index_t m : {1, 7, 64, 128}) {
     const MatrixF A = random_int_matrix(m, k, rng);
     MatrixF expect(m, n), got(m, n);
@@ -91,9 +91,9 @@ TEST(Integration, PrunedFfnTracksDenseReference) {
   // Sparse path.
   MatrixF gate(tokens, ffn), out(tokens, hidden);
   NMSPMM_ASSERT_OK(
-      SpmmPlan::create(tokens, cg).execute(A.view(), gate.view()));
+      SpmmPlan::create(cg).execute(A.view(), gate.view()));
   NMSPMM_ASSERT_OK(
-      SpmmPlan::create(tokens, cd).execute(gate.view(), out.view()));
+      SpmmPlan::create(cd).execute(gate.view(), out.view()));
 
   // Pruned-dense path (must agree to float rounding).
   const MatrixF wg_pruned = apply_mask(Wg.view(), mask_g);
@@ -140,7 +140,7 @@ TEST(Integration, LargeValuesDoNotOverflowAccumulation) {
   const CompressedNM B = random_compressed(k, n, cfg, rng);
   MatrixF expect(m, n), got(m, n);
   spmm_reference(A.view(), B, expect.view());
-  NMSPMM_ASSERT_OK(SpmmPlan::create(m, B).execute(A.view(), got.view()));
+  NMSPMM_ASSERT_OK(SpmmPlan::create(B).execute(A.view(), got.view()));
   for (index_t i = 0; i < m; ++i) {
     for (index_t j = 0; j < n; ++j) {
       const float denom = std::max(1.0f, std::abs(expect(i, j)));
@@ -160,7 +160,7 @@ TEST(Integration, ZeroSparsityControlEqualsDenseGemm) {
   const CompressedNM B = compress(Bd.view(), mask);
   MatrixF expect(m, n), got(m, n);
   gemm_reference(A.view(), Bd.view(), expect.view());
-  NMSPMM_ASSERT_OK(SpmmPlan::create(m, B).execute(A.view(), got.view()));
+  NMSPMM_ASSERT_OK(SpmmPlan::create(B).execute(A.view(), got.view()));
   EXPECT_EQ(max_abs_diff(expect.cview(), got.cview()), 0.0);
 }
 
@@ -177,7 +177,7 @@ TEST(Integration, SimulatedAndCpuKernelsShareColInfo) {
   MatrixF cpu(m, n), sim_c(m, n);
   spmm_v2(A.view(), B, cpu.view(), p, info);
   gpusim::Simulator sim(gpusim::a100_80g());
-  sim_nm_spmm_packed(sim, A.view(), B, sim_c.view(), p, info);
+  sim_spmm_packed(sim, A.view(), B, sim_c.view(), p, info);
   EXPECT_EQ(max_abs_diff(cpu.cview(), sim_c.cview()), 0.0);
 }
 

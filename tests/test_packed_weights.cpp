@@ -3,8 +3,6 @@
 //     variants, through both the pre-packed and the compatibility
 //     (pack-on-the-fly) entry points, across thread counts and ragged
 //     shapes;
-//   - interning: plans for different batch-size buckets of one weight
-//     matrix share a single PackedWeights;
 //   - the steady-state serving hot path stages zero weight bytes
 //     (pack_b_block call/byte counters stay flat across warm
 //     engine.spmm calls) and performs no large per-call allocations
@@ -156,32 +154,6 @@ TEST(PackedWeights, TileValuesMatchPerCallStaging) {
       }
     }
   }
-}
-
-TEST(PackedWeights, BatchBucketsShareOnePackedForm) {
-  Rng rng(31);
-  const index_t k = 256, n = 256;
-  const auto B = std::make_shared<const CompressedNM>(
-      random_compressed_int(k, n, kSparsity75, rng));
-
-  Engine engine;
-  // Pin the blocking so both buckets derive identical (ks, ns) even if
-  // their size classes would differ.
-  SpmmOptions opt;
-  BlockingParams params = table1_preset(SizeClass::kSmall);
-  params.ks = 64;
-  opt.params = params;
-
-  auto small_plan = engine.plan_for(4, B, opt);
-  NMSPMM_ASSERT_OK(small_plan.status());
-  auto large_plan = engine.plan_for(500, B, opt);
-  NMSPMM_ASSERT_OK(large_plan.status());
-  ASSERT_NE((*small_plan)->planned_m(), (*large_plan)->planned_m())
-      << "buckets collapsed; the sharing assertion would be vacuous";
-  EXPECT_EQ((*small_plan)->packed_weights().get(),
-            (*large_plan)->packed_weights().get())
-      << "batch-size buckets built separate PackedWeights for one "
-         "weight matrix";
 }
 
 TEST(PackedWeights, SteadyStateStagesZeroWeightBytes) {

@@ -51,11 +51,10 @@ TEST(ScratchReuse, PooledExecuteDoesNotAllocatePerTile) {
   // 8 k-chunks = 512 (n-block, m-block, k-chunk) tiles over two pool
   // threads.
   SpmmOptions opt;
-  opt.num_threads = 2;
   BlockingParams params = table1_preset(SizeClass::kSmall);
   params.ks = 64;
   opt.params = params;
-  const auto plan = SpmmPlan::create(m, B, opt);
+  const auto plan = SpmmPlan::create(B, opt, ThreadPool::shared(2));
 
   const MatrixF A = random_int_matrix(m, k, rng);
   MatrixF C(m, n);

@@ -385,10 +385,20 @@ TEST(Server, RejectsEpilogueOptionsOnBatchedSubmissions) {
   Server server;
   const MatrixF A = random_int_matrix(2, k, rng);
   MatrixF C(2, n);
-  SpmmOptions options;
-  options.epilogue.act = Activation::kSilu;
-  auto done = server.submit(A.view(), B, C.view(), options);
-  EXPECT_EQ(done.get().code(), StatusCode::kInvalidArgument);
+  SpmmOptions epilogue;
+  epilogue.epilogue.act = Activation::kSilu;
+  EXPECT_EQ(server.submit(A.view(), B, C.view(), epilogue).get().code(),
+            StatusCode::kInvalidArgument);
+  // The RMSNorm gain cannot ride a batched submission either; the
+  // request must resolve at submit, never reaching a batch.
+  SpmmOptions prologue;
+  prologue.prologue.rmsnorm = true;
+  EXPECT_EQ(server.submit(A.view(), B, C.view(), prologue).get().code(),
+            StatusCode::kInvalidArgument);
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.totals.requests, 0u);
+  EXPECT_EQ(stats.totals.batches, 0u);
+  EXPECT_EQ(stats.totals.errors, 0u);
 }
 
 TEST(Server, ShutdownDrainsInFlightRequests) {

@@ -22,7 +22,7 @@ TEST(SpmmPlan, DefaultPlanMatchesReference) {
   const MatrixF A = random_int_matrix(m, k, rng);
   const CompressedNM B = random_compressed_int(k, n, NMConfig{2, 8, 16}, rng);
   const MatrixF expect = reference_for(A.view(), B);
-  auto plan = SpmmPlan::create(m, B);
+  auto plan = SpmmPlan::create(B);
   MatrixF C(m, n);
   NMSPMM_ASSERT_OK(plan.execute(A.view(), C.view()));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
@@ -36,8 +36,8 @@ TEST(SpmmPlan, PaperRulePacksAbove70Percent) {
       random_compressed_int(64, 64, kSparsity875, rng));
   SpmmOptions paper;
   paper.packing = PackingMode::kPaperRule;
-  EXPECT_FALSE(SpmmPlan::create(64, moderate, paper).uses_packing());
-  EXPECT_TRUE(SpmmPlan::create(64, high, paper).uses_packing());
+  EXPECT_FALSE(SpmmPlan::create(moderate, paper).uses_packing());
+  EXPECT_TRUE(SpmmPlan::create(high, paper).uses_packing());
 }
 
 TEST(SpmmPlan, DefaultDoesNotPack) {
@@ -46,7 +46,7 @@ TEST(SpmmPlan, DefaultDoesNotPack) {
   Rng rng(42);
   auto high = std::make_shared<const CompressedNM>(
       random_compressed_int(64, 64, kSparsity875, rng));
-  EXPECT_FALSE(SpmmPlan::create(64, high).uses_packing());
+  EXPECT_FALSE(SpmmPlan::create(high).uses_packing());
 }
 
 TEST(SpmmPlan, PackingOverridesRespected) {
@@ -54,12 +54,12 @@ TEST(SpmmPlan, PackingOverridesRespected) {
   const CompressedNM B = random_compressed_int(64, 64, kSparsity50, rng);
   SpmmOptions always;
   always.packing = PackingMode::kAlways;
-  EXPECT_TRUE(SpmmPlan::create(64, B, {}).uses_packing() == false);
+  EXPECT_TRUE(SpmmPlan::create(B, {}).uses_packing() == false);
   auto shared = std::make_shared<const CompressedNM>(B);
-  EXPECT_TRUE(SpmmPlan::create(64, shared, always).uses_packing());
+  EXPECT_TRUE(SpmmPlan::create(shared, always).uses_packing());
   SpmmOptions never;
   never.packing = PackingMode::kNever;
-  EXPECT_FALSE(SpmmPlan::create(64, shared, never).uses_packing());
+  EXPECT_FALSE(SpmmPlan::create(shared, never).uses_packing());
 }
 
 TEST(SpmmPlan, EveryVariantMatchesReference) {
@@ -77,7 +77,7 @@ TEST(SpmmPlan, EveryVariantMatchesReference) {
       opt.variant = v;
       MatrixF C(m, n);
       NMSPMM_ASSERT_OK(
-          SpmmPlan::create(m, shared, opt).execute(A.view(), C.view()));
+          SpmmPlan::create(shared, opt).execute(A.view(), C.view()));
       EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0)
           << to_string(v) << " at " << cfg.to_string();
     }
@@ -88,28 +88,12 @@ TEST(SpmmPlan, SmallerBatchThanPlanned) {
   Rng rng(45);
   const index_t k = 64, n = 64;
   const CompressedNM B = random_compressed_int(k, n, NMConfig{2, 4, 16}, rng);
-  auto plan = SpmmPlan::create(256, B);
+  auto plan = SpmmPlan::create(B);
   const MatrixF A = random_int_matrix(33, k, rng);
   const MatrixF expect = reference_for(A.view(), B);
   MatrixF C(33, n);
   NMSPMM_ASSERT_OK(plan.execute(A.view(), C.view()));
   EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
-}
-
-TEST(SpmmPlan, LargerBatchThanPlannedIsFailedPrecondition) {
-  // The seed silently accepted oversized batches (undefined behavior for
-  // blocking parameters chosen for a smaller m); now it is a clear error.
-  Rng rng(45);
-  const index_t k = 64, n = 64;
-  const CompressedNM B = random_compressed_int(k, n, NMConfig{2, 4, 16}, rng);
-  auto plan = SpmmPlan::create(32, B);
-  EXPECT_EQ(plan.planned_m(), 32);
-  const MatrixF A = random_int_matrix(64, k, rng);
-  MatrixF C(64, n);
-  const Status s = plan.execute(A.view(), C.view());
-  EXPECT_FALSE(s.ok());
-  EXPECT_EQ(s.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(s.message().find("planned m"), std::string::npos);
 }
 
 TEST(SpmmPlan, RescaleAppliesMOverN) {
@@ -121,28 +105,35 @@ TEST(SpmmPlan, RescaleAppliesMOverN) {
   auto shared = std::make_shared<const CompressedNM>(B);
   MatrixF plain(m, n), scaled(m, n);
   NMSPMM_ASSERT_OK(
-      SpmmPlan::create(m, shared).execute(A.view(), plain.view()));
+      SpmmPlan::create(shared).execute(A.view(), plain.view()));
   SpmmOptions opt;
   opt.rescale = true;
   NMSPMM_ASSERT_OK(
-      SpmmPlan::create(m, shared, opt).execute(A.view(), scaled.view()));
+      SpmmPlan::create(shared, opt).execute(A.view(), scaled.view()));
   for (index_t i = 0; i < m; ++i)
     for (index_t j = 0; j < n; ++j)
       EXPECT_FLOAT_EQ(scaled(i, j), 2.0f * plain(i, j));
 }
 
-TEST(SpmmPlan, DefaultBlockingIgnoresBatchSize) {
-  // CPU blocking comes from the weights alone: ms = 32, ns = 64 and the
-  // Eq. 5 ks at 192 KiB (512 at 8:32), at every planned batch size.
+TEST(SpmmPlan, DefaultBlockingComesFromTheWeightsAlone) {
+  // CPU blocking: ms = 32, ns = 64 and the Eq. 5 ks at 192 KiB (512 at
+  // 8:32), with no batch size in sight — one plan serves every m.
   Rng rng(47);
   const auto big = std::make_shared<const CompressedNM>(
       random_compressed_int(4096, 256, NMConfig{8, 32, 16}, rng));
-  for (const index_t m : {1, 512, 4096}) {
-    const BlockingParams p = SpmmPlan::create(m, big).params();
-    EXPECT_EQ(p, cpu_blocking(big->config, big->orig_rows)) << "m=" << m;
-    EXPECT_EQ(p.ms, 32);
-    EXPECT_EQ(p.ns, 64);
-    EXPECT_EQ(p.ks, 512);
+  const auto plan = SpmmPlan::create(big);
+  const BlockingParams p = plan.params();
+  EXPECT_EQ(p, cpu_blocking(big->config, big->orig_rows));
+  EXPECT_EQ(p.ms, 32);
+  EXPECT_EQ(p.ns, 64);
+  EXPECT_EQ(p.ks, 512);
+  for (const index_t m : {1, 33, 200}) {
+    const MatrixF A = random_int_matrix(m, 4096, rng);
+    MatrixF C(m, 256);
+    NMSPMM_ASSERT_OK(plan.execute(A.view(), C.view()));
+    EXPECT_EQ(max_abs_diff(reference_for(A.view(), *big).cview(), C.cview()),
+              0.0)
+        << "m=" << m;
   }
 }
 
@@ -151,20 +142,19 @@ TEST(SpmmPlan, PackingRatioReportedOnlyWhenPacking) {
   const CompressedNM high = random_compressed_int(128, 128, kSparsity875, rng);
   SpmmOptions paper;
   paper.packing = PackingMode::kPaperRule;
-  const auto packed = SpmmPlan::create(
-      128, std::make_shared<const CompressedNM>(high), paper);
+  const auto packed =
+      SpmmPlan::create(std::make_shared<const CompressedNM>(high), paper);
   EXPECT_TRUE(packed.uses_packing());
   EXPECT_GT(packed.packing_ratio(), 0.0);
   EXPECT_LE(packed.packing_ratio(), 1.0);
   const CompressedNM low = random_compressed_int(128, 128, kSparsity50, rng);
-  EXPECT_DOUBLE_EQ(SpmmPlan::create(128, low).packing_ratio(), 1.0);
+  EXPECT_DOUBLE_EQ(SpmmPlan::create(low).packing_ratio(), 1.0);
 }
 
 TEST(SpmmPlan, RejectsBadInputs) {
   Rng rng(49);
   const CompressedNM B = random_compressed_int(64, 64, kSparsity50, rng);
-  EXPECT_THROW(SpmmPlan::create(0, B), CheckError);
-  auto plan = SpmmPlan::create(32, B);
+  auto plan = SpmmPlan::create(B);
   const MatrixF wrong_depth = random_int_matrix(32, 48, rng);
   MatrixF C(32, 64);
   const Status depth = plan.execute(wrong_depth.view(), C.view());
@@ -182,24 +172,10 @@ TEST(SpmmPlan, ExplicitParamsHonored) {
   BlockingParams p = table1_preset(SizeClass::kMedium);
   p.ks = 0;  // let the plan derive it
   opt.params = p;
-  const auto plan = SpmmPlan::create(64, B, opt);
+  const auto plan = SpmmPlan::create(B, opt);
   EXPECT_EQ(plan.params().ms, 32);
   EXPECT_EQ(plan.params().ns, 64);
   EXPECT_GT(plan.params().ks, 0);
-}
-
-TEST(NmSpmmOneShot, DeprecatedShimMatchesReference) {
-  Rng rng(51);
-  const index_t m = 40, k = 64, n = 48;
-  const MatrixF A = random_int_matrix(m, k, rng);
-  const CompressedNM B = random_compressed_int(k, n, NMConfig{1, 4, 8}, rng);
-  const MatrixF expect = reference_for(A.view(), B);
-  MatrixF C(m, n);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  nm_spmm(A.view(), B, C.view());
-#pragma GCC diagnostic pop
-  EXPECT_EQ(max_abs_diff(expect.cview(), C.cview()), 0.0);
 }
 
 }  // namespace

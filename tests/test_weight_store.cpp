@@ -10,8 +10,8 @@
 //     matching the forced schedule and serving staying correct;
 //   - pinning: a pinned form is never evicted mid-execute, and leases
 //     whose source died fail pin() instead of serving stale tiles;
-//   - interning: batch-size buckets and engines sharing a store share
-//     one packed form per (weights, blocking, kind);
+//   - interning: plans and engines sharing a store share one packed
+//     form per (weights, blocking, kind);
 //   - NUMA placement plumbing degrades gracefully on single-node hosts.
 #include <gtest/gtest.h>
 
@@ -311,14 +311,13 @@ TEST(WeightStore, EnginesSharingAStoreShareOnePackedForm) {
   opt.weight_store = store;
   Engine e1(opt);
   Engine e2(opt);
-  // Pin the blocking so both buckets derive identical (ks, ns): the
-  // store interns per (weights, ks, ns, kind).
+  // The store interns per (weights, ks, ns, kind).
   SpmmOptions spmm_opt;
   BlockingParams params = table1_preset(SizeClass::kSmall);
   params.ks = 64;
   spmm_opt.params = params;
   auto p1 = e1.plan_for(4, B, spmm_opt);
-  auto p2 = e2.plan_for(500, B, spmm_opt);  // other engine AND bucket
+  auto p2 = e2.plan_for(4, B, spmm_opt);  // other engine
   NMSPMM_ASSERT_OK(p1.status());
   NMSPMM_ASSERT_OK(p2.status());
   EXPECT_EQ((*p1)->weight_lease().get(), (*p2)->weight_lease().get())
