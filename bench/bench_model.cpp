@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
                    "fused ModelPlan diverged from the unfused pipeline");
 
   // Whole-FFN decode serving: single-row requests through the same plan
-  // (the Server's submit_ffn bypass path executes exactly this).
+  // (a lone submit_ffn request executes exactly this).
   MatrixF a1 = random_matrix(1, hidden, rng);
   MatrixF c1(1, hidden);
   NMSPMM_CHECK_OK(plan.run(a1.view(), c1.view()));  // warm

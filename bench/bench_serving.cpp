@@ -72,10 +72,6 @@ int main(int argc, char** argv) {
   };
 
   ServerOptions server_opt;
-  // This bench measures the dynamic-batching path; the single-row
-  // bypass would otherwise serve the whole m=1 stream synchronously
-  // and there would be no batches to measure.
-  server_opt.bypass_single_rows = false;
   server_opt.max_batch_rows = cli.get_int("max_batch");
   server_opt.max_wait_us =
       static_cast<std::uint32_t>(cli.get_int("max_wait_us"));

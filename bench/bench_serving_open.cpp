@@ -157,10 +157,14 @@ double submit_throughput(Server& server,
     workers.emplace_back([&, t] {
       while (!go.load(std::memory_order_acquire)) {
       }
+      // Fire the whole stream, then collect: a submitter that waited on
+      // each request would time max_wait_us, not the submit path.
+      std::vector<std::future<Status>> done;
+      done.reserve(static_cast<std::size_t>(per_thread));
       for (int i = 0; i < per_thread; ++i) {
-        NMSPMM_CHECK_OK(
-            server.submit(as[t].cview(), weights, cs[t].view()).get());
+        done.push_back(server.submit(as[t].cview(), weights, cs[t].view()));
       }
+      for (auto& f : done) NMSPMM_CHECK_OK(f.get());
     });
   }
   go.store(true, std::memory_order_release);
@@ -244,10 +248,6 @@ int main(int argc, char** argv) {
   ServerOptions sweep_opt;
   sweep_opt.engine = engine_opt;
   sweep_opt.num_shards = num_shards;
-  // Measure the batching path: the single-row bypass would serve the
-  // whole decode stream synchronously and there would be no queueing to
-  // observe.
-  sweep_opt.bypass_single_rows = false;
   sweep_opt.max_batch_rows = 64;
   sweep_opt.max_wait_us = 1000;
 

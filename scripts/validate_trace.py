@@ -36,7 +36,7 @@ CATEGORIES = {"decode", "prefill", "serve", "mem", "attn"}
 # stage reconciliation below.
 WINDOW_NAMES = {"repack", "attn", "kv_append"}
 FLUSHES = {"full", "timeout", "slo", "shutdown", "-"}
-LANES = {"-", "bypass", "coalesce"}
+LANES = {"-", "coalesce"}
 TARGET_RE = re.compile(r"^0x[0-9a-f]+$")
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABELS_RE = re.compile(
@@ -110,7 +110,7 @@ def validate_trace(path, min_spans, skew_us, errors):
     reconciled = 0
     for trace_id, spans in by_request.items():
         if "total" not in spans or any(s not in spans for s in stages):
-            continue  # bypassed or ring-overwritten request: skip
+            continue  # ring-overwritten or never-executed request: skip
         reconciled += 1
         stage_sum = sum(spans[s] for s in stages)
         if stage_sum > spans["total"] + skew_us:

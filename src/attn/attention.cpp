@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <utility>
 
 #include "core/epilogue.hpp"  // fast_exp
 
@@ -60,7 +61,9 @@ void OnlineSoftmax::finish(float* acc, index_t n, Kernel kernel) const {
   simd::scale(acc, 1.0f / s, n, kernel);
 }
 
-DecodeAttention::DecodeAttention(AttnConfig config) : config_(config) {
+DecodeAttention::DecodeAttention(AttnConfig config,
+                                 std::shared_ptr<ThreadPool> pool)
+    : config_(config), pool_(std::move(pool)) {
   NMSPMM_CHECK_OK(config_.validate());
   scale_ = 1.0f / std::sqrt(static_cast<float>(config_.head_dim));
   const index_t half = config_.head_dim / 2;
@@ -70,23 +73,32 @@ DecodeAttention::DecodeAttention(AttnConfig config) : config_(config) {
         config_.rope_theta,
         -2.0f * static_cast<float>(i) / static_cast<float>(config_.head_dim));
   }
-  acc_.resize(static_cast<std::size_t>(config_.head_dim), 0.0f);
 }
 
 void DecodeAttention::rope(float* x, index_t heads, index_t pos) const {
   const index_t hd = config_.head_dim;
   const index_t half = hd / 2;
   const auto p = static_cast<float>(pos);
-  for (index_t h = 0; h < heads; ++h) {
-    float* xh = x + h * hd;
-    for (index_t i = 0; i < half; ++i) {
-      const float angle = p * inv_freq_[static_cast<std::size_t>(i)];
-      const float c = std::cos(angle);
-      const float s = std::sin(angle);
-      const float x0 = xh[i];
-      const float x1 = xh[i + half];
-      xh[i] = x0 * c - x1 * s;
-      xh[i + half] = x0 * s + x1 * c;
+  // The angle depends on (pos, i) only: take the pairs a stack block at
+  // a time, compute each block's cos / sin once and rotate every head.
+  constexpr index_t kBlock = 64;
+  float cs[kBlock];
+  float sn[kBlock];
+  for (index_t i0 = 0; i0 < half; i0 += kBlock) {
+    const index_t n = std::min(kBlock, half - i0);
+    for (index_t j = 0; j < n; ++j) {
+      const float angle = p * inv_freq_[static_cast<std::size_t>(i0 + j)];
+      cs[j] = std::cos(angle);
+      sn[j] = std::sin(angle);
+    }
+    for (index_t h = 0; h < heads; ++h) {
+      float* xh = x + h * hd + i0;
+      for (index_t j = 0; j < n; ++j) {
+        const float x0 = xh[j];
+        const float x1 = xh[j + half];
+        xh[j] = x0 * cs[j] - x1 * sn[j];
+        xh[j + half] = x0 * sn[j] + x1 * cs[j];
+      }
     }
   }
 }
@@ -106,8 +118,29 @@ Status DecodeAttention::append(KvCache& cache, std::uint64_t seq_id, float* k,
   return cache.append(seq_id, k, v);
 }
 
+void DecodeAttention::attend_heads(const KvCache::SeqView& view,
+                                   const float* q, float* out, index_t h0,
+                                   index_t h1) const {
+  const Kernel kernel = config_.kernel;
+  const index_t hd = config_.head_dim;
+  const index_t group = config_.n_heads / config_.n_kv_heads;
+  for (index_t h = h0; h < h1; ++h) {
+    const float* qh = q + h * hd;
+    const index_t kv_off = (h / group) * hd;  // GQA head mapping
+    float* acc = out + h * hd;
+    std::fill_n(acc, hd, 0.0f);
+    OnlineSoftmax sm;
+    for (index_t t = 0; t < view.len; ++t) {
+      const float logit = scale_ * simd::dot(qh, view.k(t) + kv_off, hd,
+                                             kernel);
+      sm.add(logit, view.v(t) + kv_off, acc, hd, kernel);
+    }
+    sm.finish(acc, hd, kernel);
+  }
+}
+
 Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
-                               float* q, float* out) {
+                               float* q, float* out) const {
   if (cache.token_row() != config_.kv_dim()) {
     std::ostringstream os;
     os << "KV cache holds " << cache.token_row()
@@ -124,29 +157,16 @@ Status DecodeAttention::attend(const KvCache& cache, std::uint64_t seq_id,
     return Status::FailedPrecondition(os.str());
   }
   rope(q, config_.n_heads, view->len - 1);
-  const Kernel kernel = config_.kernel;
-  const index_t hd = config_.head_dim;
-  const index_t group = config_.n_heads / config_.n_kv_heads;
-  float* acc = acc_.data();
-  for (index_t h = 0; h < config_.n_heads; ++h) {
-    const float* qh = q + h * hd;
-    const index_t kv_off = (h / group) * hd;  // GQA head mapping
-    std::fill_n(acc, hd, 0.0f);
-    OnlineSoftmax sm;
-    for (index_t t = 0; t < view->len; ++t) {
-      const float logit = scale_ * simd::dot(qh, view->k(t) + kv_off, hd,
-                                             kernel);
-      sm.add(logit, view->v(t) + kv_off, acc, hd, kernel);
-    }
-    sm.finish(acc, hd, kernel);
-    std::copy_n(acc, hd, out + h * hd);
-  }
+  parallel_for(pool_.get(), 0, config_.n_heads,
+               [&](std::int64_t h0, std::int64_t h1) {
+                 attend_heads(*view, q, out, h0, h1);
+               });
   return Status::Ok();
 }
 
 Status DecodeAttention::decode_step(KvCache& cache, std::uint64_t seq_id,
                                     float* q, float* k, const float* v,
-                                    float* out) {
+                                    float* out) const {
   NMSPMM_RETURN_IF_ERROR(append(cache, seq_id, k, v));
   return attend(cache, seq_id, q, out);
 }

@@ -20,16 +20,23 @@
 // GQA: query head h reads KV head h / (n_heads / n_kv_heads) — the
 // grouped-query layout (n_kv_heads < n_heads) that shrinks the cache by
 // the group factor. n_kv_heads == n_heads degenerates to MHA.
+//
+// Threading: attend() splits the query heads into contiguous runs on a
+// ThreadPool, so one worker streams a GQA group's shared KV head. Each
+// head's float op sequence is the same at every split, so the result
+// is bit-identical at every thread count, like the SpMM kernels.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "attn/kv_cache.hpp"
 #include "core/reduce.hpp"
 #include "util/check.hpp"
 #include "util/matrix.hpp"
+#include "util/thread_pool.hpp"
 
 namespace nmspmm::attn {
 
@@ -72,20 +79,26 @@ struct OnlineSoftmax {
 };
 
 /// The per-layer decode attention operator. Owns the RoPE frequency
-/// table and the per-head accumulator scratch; one instance per decoder
-/// plan, serialized by the plan's run mutex (attend uses member scratch
-/// and is not thread-safe).
+/// table and a handle on the pool attend() runs on; holds no per-call
+/// state, so every member is reentrant (callers still serialize writes
+/// to one KvCache). attend() blocks on its pool, so it must not be
+/// called from inside a task running on that same pool.
 class DecodeAttention {
  public:
   /// Throws CheckError on invalid geometry (plan factories validate
-  /// first and surface Status).
-  explicit DecodeAttention(AttnConfig config);
+  /// first and surface Status). attend() runs its heads on @p pool: the
+  /// process-global pool by default (as SpmmPlan::create), null for
+  /// strictly serial, ThreadPool::shared(n) for a dedicated pool.
+  explicit DecodeAttention(AttnConfig config,
+                           std::shared_ptr<ThreadPool> pool =
+                               ThreadPool::shared(0));
 
   [[nodiscard]] const AttnConfig& config() const { return config_; }
 
   /// Rotate @p heads half-split head vectors of @p x in place by
   /// position @p pos (RoPE: pair (i, i + head_dim/2) by angle
-  /// pos * theta^(-2i/head_dim)).
+  /// pos * theta^(-2i/head_dim)). Each angle's cos / sin is computed
+  /// once and applied to every head.
   void rope(float* x, index_t heads, index_t pos) const;
 
   /// Rotate the fresh K (kv_dim floats, in place) by the sequence's
@@ -96,22 +109,28 @@ class DecodeAttention {
 
   /// Rotate Q (q_dim floats, in place) by the last cached position and
   /// write streaming-softmax attention over the cached context to
-  /// @p out (q_dim floats). FAILED_PRECONDITION on an empty context.
+  /// @p out (q_dim floats, not overlapping @p q: each head accumulates
+  /// in place in @p out). FAILED_PRECONDITION on an empty context.
   [[nodiscard]] Status attend(const KvCache& cache, std::uint64_t seq_id,
-                              float* q, float* out);
+                              float* q, float* out) const;
 
   /// One full decode step: append(k, v) then attend(q) — the
   /// convenience form tests and the example use; the decoder plan calls
   /// the halves separately to trace them as kv_append / attn spans.
   [[nodiscard]] Status decode_step(KvCache& cache, std::uint64_t seq_id,
                                    float* q, float* k, const float* v,
-                                   float* out);
+                                   float* out) const;
 
  private:
+  /// Attention of query heads [h0, h1) of @p q over @p view, written
+  /// to the same heads of @p out.
+  void attend_heads(const KvCache::SeqView& view, const float* q, float* out,
+                    index_t h0, index_t h1) const;
+
   AttnConfig config_;
+  std::shared_ptr<ThreadPool> pool_;  ///< null: strictly serial
   float scale_ = 0.0f;           ///< 1 / sqrt(head_dim)
   std::vector<float> inv_freq_;  ///< head_dim/2 RoPE inverse frequencies
-  std::vector<float> acc_;       ///< head_dim accumulator scratch
 };
 
 }  // namespace nmspmm::attn

@@ -168,9 +168,10 @@ Status DecoderPlan::decode(ConstViewF A, const std::uint64_t* seq_ids,
       timed(0, [&] { return qkv_plan_->execute(A, qkv, qkv_args); }));
 
   // 2. Per-sequence attention between the batched projections: one KV
-  // append window, one attention window, each traced through obs. Row
-  // failures (unknown sequence, KV budget) land in row_status and zero
-  // the row's attention output; batchmates proceed.
+  // append window, one attention window, each traced through obs. Each
+  // attend() spreads the sequence's query heads over the engine pool.
+  // Row failures (unknown sequence, KV budget) land in row_status and
+  // zero the row's attention output; batchmates proceed.
   const ViewF attn_out = attn_buf_.view().block(0, 0, m, q_dim);
   NMSPMM_RETURN_IF_ERROR(timed(1, [&] {
     const auto append_t0 = std::chrono::steady_clock::now();
@@ -318,7 +319,8 @@ StatusOr<std::shared_ptr<model::DecoderPlan>> Engine::plan_decoder(
   plan->ffn_plan_ = *ffn;
 
   // Both validated above, so neither constructor can throw CheckError.
-  plan->attn_ = std::make_unique<attn::DecodeAttention>(layer.attn);
+  // Attention runs its heads on the engine's pool, like the projections.
+  plan->attn_ = std::make_unique<attn::DecodeAttention>(layer.attn, pool_);
   plan->kv_ = std::make_unique<attn::KvCache>(kv_options);
   plan->qkv_bias_ = std::move(layer.qkv_bias);
   plan->out_bias_ = std::move(layer.out_bias);

@@ -16,7 +16,8 @@
 // FFN tail is a nested ModelPlan whose FfnBlock carries the ffn_norm
 // prologue and the second residual. SpMM projections batch across
 // sequences exactly like ffn traffic; attention runs per sequence
-// between them, bracketed as kv_append / attn spans through obs.
+// between them, its query heads split across the engine's pool, and is
+// bracketed as kv_append / attn spans through obs.
 //
 //   auto plan = engine.plan_decoder(max_batch, layer, kv_options);
 //   NMSPMM_CHECK_OK((*plan)->begin_sequence(7));

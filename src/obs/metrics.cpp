@@ -72,7 +72,7 @@ void append_json_group(std::string& out, const Server::GroupStats& g) {
       buf, sizeof(buf),
       "{\"requests\":%llu,\"rows\":%llu,\"batches\":%llu,"
       "\"full_flushes\":%llu,\"timeout_flushes\":%llu,\"slo_flushes\":%llu,"
-      "\"bypassed\":%llu,\"errors\":%llu,\"slo_violations\":%llu,"
+      "\"errors\":%llu,\"slo_violations\":%llu,"
       "\"max_queue_depth\":%llu}",
       static_cast<unsigned long long>(g.requests),
       static_cast<unsigned long long>(g.rows),
@@ -80,7 +80,6 @@ void append_json_group(std::string& out, const Server::GroupStats& g) {
       static_cast<unsigned long long>(g.full_flushes),
       static_cast<unsigned long long>(g.timeout_flushes),
       static_cast<unsigned long long>(g.slo_flushes),
-      static_cast<unsigned long long>(g.bypassed),
       static_cast<unsigned long long>(g.errors),
       static_cast<unsigned long long>(g.slo_violations),
       static_cast<unsigned long long>(g.max_queue_depth));
@@ -173,8 +172,6 @@ std::string render_prometheus(const Server::Stats& stats,
           stats.totals.timeout_flushes);
   counter(out, p, "slo_flushes_total", "Batches flushed early for a deadline",
           stats.totals.slo_flushes);
-  counter(out, p, "bypassed_total", "Requests served on the submit thread",
-          stats.totals.bypassed);
   counter(out, p, "errors_total", "Requests resolved non-OK",
           stats.totals.errors);
   counter(out, p, "ring_stalls_total", "Submits that found a full ring",

@@ -75,8 +75,6 @@ const char* to_string(ExecLane lane) {
   switch (lane) {
     case ExecLane::kNone:
       return "-";
-    case ExecLane::kBypass:
-      return "bypass";
     case ExecLane::kCoalesce:
       return "coalesce";
   }

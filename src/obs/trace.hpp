@@ -10,9 +10,8 @@
 //   submit -> queue -> gather -> execute -> total
 //
 // each carrying the serving shard, the batch's FlushReason, the execute
-// lane (bypass / coalesce), and the request class; WeightStore
-// repack-on-demand events land as their own spans inside the execute
-// window. Load the dump in chrome://tracing or https://ui.perfetto.dev.
+// lane, and the request class; WeightStore repack-on-demand events land
+// as their own spans inside the execute window. Load the dump in chrome://tracing or https://ui.perfetto.dev.
 //
 // The capture path mirrors the Telemetry recorder's discipline: a
 // TraceRecorder owns up to kMaxShards per-thread shards (lazily
@@ -64,11 +63,11 @@ inline constexpr int kNumSpanKinds = static_cast<int>(SpanKind::kCount);
 
 const char* to_string(SpanKind kind);
 
-/// Where the request was executed. Every dispatched batch — one request
-/// or many — runs as one pooled execution, so there are two lanes.
+/// Where the request was executed. Every request is dispatched, and
+/// every batch — one request or many — runs as one pooled execution, so
+/// there is one lane.
 enum class ExecLane : std::uint8_t {
   kNone = 0,  ///< not an execute-bearing span (or never executed)
-  kBypass,    ///< served synchronously on the submitting thread
   kCoalesce,  ///< dispatched: one SpMM / ModelPlan::run /
               ///< DecoderPlan::decode over the whole batch
 };

@@ -20,7 +20,6 @@ void accumulate(Server::GroupStats& into, const Server::GroupStats& from) {
   into.full_flushes += from.full_flushes;
   into.timeout_flushes += from.timeout_flushes;
   into.slo_flushes += from.slo_flushes;
-  into.bypassed += from.bypassed;
   into.errors += from.errors;
   into.slo_violations += from.slo_violations;
   into.max_queue_depth = std::max(into.max_queue_depth, from.max_queue_depth);
@@ -134,8 +133,6 @@ Status Server::Target::run(Engine& engine, ConstViewF a,
     Status operator()(const std::shared_ptr<model::ModelPlan>& p) const {
       return p->run(a, c);
     }
-    // DecoderPlan serializes internally, so a bypass racing the
-    // dispatcher on the same plan is safe.
     Status operator()(const std::shared_ptr<model::DecoderPlan>& p) const {
       return p->decode(a, seq_ids, c, row_status);
     }
@@ -158,7 +155,6 @@ Server::GroupStats Server::GroupCounters::snapshot() const {
   s.full_flushes = full_flushes.load(std::memory_order_relaxed);
   s.timeout_flushes = timeout_flushes.load(std::memory_order_relaxed);
   s.slo_flushes = slo_flushes.load(std::memory_order_relaxed);
-  s.bypassed = bypassed.load(std::memory_order_relaxed);
   s.errors = errors.load(std::memory_order_relaxed);
   s.slo_violations = slo_violations.load(std::memory_order_relaxed);
   s.max_queue_depth = max_queue_depth.load(std::memory_order_relaxed);
@@ -341,10 +337,10 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
     return ready(Status::Unavailable("server is shut down"));
   }
 
-  // Trace sampling: every accepted request (bypassed included) draws a
-  // ticket; 1 in trace_sample_n carries a nonzero trace id through its
-  // whole life cycle. One relaxed fetch_add when tracing is on, nothing
-  // at all when it is off.
+  // Trace sampling: every accepted request draws a ticket; 1 in
+  // trace_sample_n carries a nonzero trace id through its whole life
+  // cycle. One relaxed fetch_add when tracing is on, nothing at all when
+  // it is off.
   std::uint64_t trace_id = 0;
   if (tracer_ != nullptr) {
     const std::uint64_t n =
@@ -355,37 +351,6 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
                        deadline_from(submitted, deadline_us), trace_id,
                        seq_id};
   std::future<Status> result = request.done.get_future();
-
-  // Single-row fast path: with nothing in flight on the shard there is
-  // nothing to coalesce with — serve synchronously here instead of
-  // paying the dispatch round-trip. Skips batch accounting entirely
-  // (no batches / flush counters). The shard mutex taken to look up the
-  // group is uncontended by construction (the shard is idle).
-  if (options_.bypass_single_rows && A.rows() == 1 &&
-      shard.inflight.load(std::memory_order_seq_cst) == 0) {
-    std::shared_ptr<Group> group;
-    {
-      std::lock_guard lock(shard.mutex);
-      group = group_for(shard, std::move(target));
-      prune_idle_groups(shard, group.get());
-    }
-    Group& g = *group;
-    g.counters.requests.fetch_add(1, std::memory_order_relaxed);
-    g.counters.rows.fetch_add(1, std::memory_order_relaxed);
-    g.counters.bypassed.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.requests.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.rows.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.bypassed.fetch_add(1, std::memory_order_relaxed);
-    Execution x;
-    x.lane = obs::ExecLane::kBypass;
-    Status row;
-    const Status status =
-        execute(g.target, x, A, &request.seq_id, C, &row);
-    // The bypass goes straight from submit to execute.
-    request.enqueued = x.start;
-    complete(shard, g, request, x, status.ok() ? row : status);
-    return result;
-  }
 
   // Admission control. A request is sheddable when the policy says so
   // for its class; a sheddable request is refused with RESOURCE_EXHAUSTED
@@ -433,10 +398,6 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
     request.done.set_value(Status::Unavailable("server is shut down"));
     return result;
   }
-  // inflight (and the admission pending gauges) must rise before the
-  // publish so the bypass's idle test cannot miss a request that is
-  // already on its way to the ring.
-  shard.inflight.fetch_add(1, std::memory_order_seq_cst);
   shard.pending_rows.fetch_add(rows, std::memory_order_relaxed);
   shard.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
   request.enqueued = Clock::now();
@@ -446,7 +407,6 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
   auto release = [&] {
     shard.pending_rows.fetch_sub(rows, std::memory_order_relaxed);
     shard.pending_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-    shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
     shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
   };
   bool stalled = false;
@@ -669,10 +629,9 @@ void Server::complete(Shard& shard, Group& g, BatchRequest& r,
       continue;
     }
     const auto stage = static_cast<serve::Stage>(s);
-    // A queued request's submit stage ended before it joined a batch,
-    // so that span carries no batch attributes.
-    const bool batch_attrs =
-        stage != serve::Stage::kSubmit || x.popped == Execution::kUnset;
+    // A request's submit stage ended before it joined a batch, so that
+    // span carries no batch attributes.
+    const bool batch_attrs = stage != serve::Stage::kSubmit;
     span.lane = batch_attrs ? x.lane : obs::ExecLane::kNone;
     span.flush = batch_attrs ? x.flush : obs::kNoAttr;
     span.detail = stage == serve::Stage::kExecute ? x.repacks : 0;
@@ -683,30 +642,15 @@ void Server::complete(Shard& shard, Group& g, BatchRequest& r,
   span.detail = 0;
   record(serve::Stage::kTotal, r.submitted, resolved);
 
-  // Drop inflight before fulfilling the promise: a caller that joins
-  // and immediately submits a single row must observe the idle shard
-  // (bypass eligibility), not a stale in-flight count. Bypassed
-  // requests never entered the ring, so they hold none of it.
-  if (x.lane != obs::ExecLane::kBypass) {
-    shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
-                                 std::memory_order_relaxed);
-    shard.pending_bytes.fetch_sub(
-        staging_bytes(r.a.rows(), r.a.cols(), r.c.cols()),
-        std::memory_order_relaxed);
-    shard.inflight.fetch_sub(1, std::memory_order_seq_cst);
-  }
+  // Release the admission gauges before fulfilling the promise: a
+  // caller that joins and submits again must not find its own finished
+  // request still counted against the high-water marks.
+  shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
+                               std::memory_order_relaxed);
+  shard.pending_bytes.fetch_sub(
+      staging_bytes(r.a.rows(), r.a.cols(), r.c.cols()),
+      std::memory_order_relaxed);
   r.done.set_value(status);
-}
-
-Status Server::execute(const Target& target, Execution& x, ConstViewF a,
-                       const std::uint64_t* seq_ids, ViewF c,
-                       Status* row_status) {
-  const std::uint64_t repacks_before = obs::repack_events();
-  x.start = Clock::now();
-  const Status status = target.run(engine_, a, seq_ids, c, row_status);
-  x.end = Clock::now();
-  x.repacks = obs::repack_events() - repacks_before;
-  return status;
 }
 
 Status Server::serve_batch(Shard& shard, PendingBatch& batch,
@@ -767,9 +711,15 @@ Status Server::serve_batch(Shard& shard, PendingBatch& batch,
     seq_ids = st.seq_ids.data();
   }
 
+  // One execution serves the batch; its window and the WeightStore
+  // repacks inside it are the batch's execute stage.
   std::vector<Status> row_status(static_cast<std::size_t>(batch.rows));
-  const Status status =
-      execute(target, batch.exec, a, seq_ids, c, row_status.data());
+  Execution& x = batch.exec;
+  const std::uint64_t repacks_before = obs::repack_events();
+  x.start = Clock::now();
+  const Status status = target.run(engine_, a, seq_ids, c, row_status.data());
+  x.end = Clock::now();
+  x.repacks = obs::repack_events() - repacks_before;
   // Each request resolves with the batch's status, or its own row's (a
   // per-sequence decode failure fails that request alone); only rows
   // that succeeded scatter back.

@@ -33,7 +33,7 @@
 // coalescing exactly as in the single-dispatcher design. The hot submit
 // path is lock-free: validate, claim a ring slot (one CAS), publish,
 // return — a mutex is taken only to wake a sleeping dispatcher (idle by
-// definition, so never contended) and on the single-row bypass.
+// definition, so never contended).
 //
 // The dispatcher drains its ring into per-group FIFO queues, flushes a
 // group when its pending rows reach its row budget, its oldest request
@@ -42,6 +42,10 @@
 // partitions across every worker, so one large product beats several
 // serial ones, and the shared weight read is the whole win for decode
 // bursts. A lone request skips the gather and runs on its own views.
+// Every request takes this path, single rows included: a client that
+// submits a round of 1-row decode steps back to back and then waits
+// gets them served as one batch (one read of each weight), and a lone
+// row pays at most max_wait_us of queueing for it.
 //
 // Each group serves one target, and one execution serves the whole
 // batch: a plain weight matrix (submit), a fused-FFN model::ModelPlan
@@ -51,25 +55,20 @@
 // (submit_decode). Concurrent 1-row token submissions against one
 // DecoderPlan gather into a single DecoderPlan::decode — the QKV /
 // output / FFN projections run batched, attention runs per sequence
-// between them, and each request resolves with its own per-sequence
+// between them (its heads split across the engine pool), and each request resolves with its own per-sequence
 // status (NOT_FOUND for an unknown sequence, retryable
 // RESOURCE_EXHAUSTED when the KV budget is spent), so one bad sequence
 // never fails its batchmates. Every request, however it was served or
 // failed, resolves through one completion step that records its stage
 // latencies and, when sampled, its trace spans from the same instants.
 //
-// Two latency escapes keep the common cases fast and the process alive:
-//  - Single-row bypass: when a 1-row submit() arrives and its shard is
-//    idle (no request in flight), nothing could coalesce with it anyway
-//    — it is served synchronously on the submitting thread (same engine
-//    plan cache, zero dispatch round-trip) and counted in
-//    stats().bypassed, outside batch accounting.
-//  - The dispatcher wraps every batch execution in an exception guard:
-//    a failure while assembling or running a batch fails that batch's
-//    futures with a typed Status — RESOURCE_EXHAUSTED for allocation /
-//    budget exhaustion (staging growth, max_staging_bytes, repack), or
-//    INTERNAL for a genuine invariant trip — instead of
-//    std::terminate-ing the process, and keeps serving later batches.
+// One escape keeps the process alive: the dispatcher wraps every batch
+// execution in an exception guard. A failure while assembling or running
+// a batch fails that batch's futures with a typed Status —
+// RESOURCE_EXHAUSTED for allocation / budget exhaustion (staging growth,
+// max_staging_bytes, repack), or INTERNAL for a genuine invariant trip —
+// instead of std::terminate-ing the process, and the dispatcher keeps
+// serving later batches.
 //
 // Overload behavior is a policy (ServerOptions::admission):
 //  - kBlock (default): a full shard ring back-pressures submit() with a
@@ -144,10 +143,6 @@ struct ServerOptions {
   /// matrices stays bounded. Counters and latency history survive in
   /// the shard totals; an evicted group that comes back starts fresh.
   std::size_t max_groups = 64;
-  /// Serve 1-row requests synchronously on the submitting thread when
-  /// their shard is idle (nothing in flight to coalesce with): skips the
-  /// dispatch round-trip and batch accounting entirely.
-  bool bypass_single_rows = true;
   /// Cap on a dispatcher's gather/scatter staging for one batch, in
   /// bytes (0 = unbounded). A batch needing more fails with
   /// RESOURCE_EXHAUSTED (the affected batch only; the dispatcher keeps
@@ -224,9 +219,8 @@ class Server {
   Server& operator=(const Server&) = delete;
 
   /// Enqueue C = A (*) (B, D) and return a future that resolves when the
-  /// request has been served (possibly coalesced with others, or bypassed
-  /// — see ServerOptions::bypass_single_rows, in which case the future is
-  /// already resolved on return). A and C must stay alive until then.
+  /// request has been served (possibly coalesced with others). A and C
+  /// must stay alive until then.
   /// Shape/argument errors resolve the future immediately without
   /// enqueuing. @p options must carry an inactive EpilogueSpec and
   /// PrologueSpec (epilogue operands and the RMSNorm gain cannot ride a
@@ -288,12 +282,14 @@ class Server {
     std::uint64_t full_flushes = 0;     ///< batches flushed on row budget
     std::uint64_t timeout_flushes = 0;  ///< flushed on max_wait / drain
     std::uint64_t slo_flushes = 0;      ///< flushed early for a deadline
-    std::uint64_t bypassed = 0;         ///< served synchronously at submit
     std::uint64_t errors = 0;           ///< requests resolved non-OK
     std::uint64_t slo_violations = 0;   ///< deadlines missed (incl. expiry)
     /// Always 0: every batch runs as one pooled execution. Kept only
     /// because perfbench still reads it (serve.split_share).
     std::uint64_t split_batches = 0;
+    /// Always 0: every request is served through its shard's queue.
+    /// Kept only because perfbench still reads it (serve.bypass_share).
+    std::uint64_t bypassed = 0;
     std::size_t max_queue_depth = 0;    ///< peak pending requests
   };
   struct Stats {
@@ -369,9 +365,9 @@ class Server {
 
   /// What one group's executions run against: a plain weight matrix
   /// (under the group's SpmmOptions), a fused-FFN ModelPlan, or a
-  /// decoder-layer DecoderPlan. The bypass, a lone queued request and a
-  /// gathered batch all serve through run(); nothing else in the Server
-  /// looks at which of the three it holds.
+  /// decoder-layer DecoderPlan. A lone queued request and a gathered
+  /// batch both serve through run(); nothing else in the Server looks at
+  /// which of the three it holds.
   struct Target {
     std::variant<std::shared_ptr<const CompressedNM>,
                  std::shared_ptr<model::ModelPlan>,
@@ -403,9 +399,9 @@ class Server {
   struct GroupKeyHash {
     std::size_t operator()(const GroupKey& k) const noexcept;
   };
-  /// GroupStats as relaxed atomics, so the dispatcher and bypassing
-  /// submitters update them without a lock and stats readers snapshot
-  /// them concurrently. Each event is counted twice — once on its group,
+  /// GroupStats as relaxed atomics, so the dispatcher and submitters
+  /// update them without a lock and stats readers snapshot them
+  /// concurrently. Each event is counted twice — once on its group,
   /// once on the shard totals — so stats() stays exact across group
   /// eviction without any fold-on-evict bookkeeping.
   struct GroupCounters {
@@ -415,7 +411,6 @@ class Server {
     std::atomic<std::uint64_t> full_flushes{0};
     std::atomic<std::uint64_t> timeout_flushes{0};
     std::atomic<std::uint64_t> slo_flushes{0};
-    std::atomic<std::uint64_t> bypassed{0};
     std::atomic<std::uint64_t> errors{0};
     std::atomic<std::uint64_t> slo_violations{0};
     std::atomic<std::size_t> max_queue_depth{0};
@@ -426,14 +421,13 @@ class Server {
   struct Group {
     Target target;
     /// Pending requests. Only touched under the owning shard's mutex
-    /// (dispatcher drain/flush, bypass idle checks never read it).
+    /// (dispatcher drain/flush, per-target stats queries).
     BatchQueue queue;
     GroupCounters counters;
     /// Stage-latency recorder for the per-target latency queries (null
-    /// when ServerOptions::telemetry is off). shared_ptr: bypassed
-    /// submissions and in-flight batches record into it outside the
-    /// shard lock, so it must outlive a concurrent eviction of the
-    /// group (samples recorded after eviction are dropped from the
+    /// when ServerOptions::telemetry is off). shared_ptr: in-flight
+    /// batches record into it outside the shard lock, so it must
+    /// outlive a concurrent eviction of the group (samples recorded after eviction are dropped from the
     /// per-target view; the shard recorder keeps them).
     std::shared_ptr<serve::Telemetry> telemetry;
   };
@@ -448,8 +442,8 @@ class Server {
   /// The batch side of a request's stage record: when its batch left
   /// the queue and ran, how, and what happened inside the window. The
   /// request side (submitted, enqueued) rides in BatchRequest. Instants
-  /// a request never reached stay at kUnset — the bypass never queues,
-  /// a failed batch may never run.
+  /// a request never reached stay at kUnset — a failed batch may never
+  /// run.
   struct Execution {
     static constexpr Clock::time_point kUnset{};
     Clock::time_point popped = kUnset;
@@ -485,9 +479,9 @@ class Server {
   ///  - `ring` is lock-free; submitters publish, the dispatcher pops.
   ///  - `mutex` guards `groups` (map structure AND the BatchQueues
   ///    inside) and `cv`. It is taken by the dispatcher (drain / flush /
-  ///    evict), by bypassing submitters (shard idle by definition), by
-  ///    per-target stats queries, and momentarily by a submitter waking
-  ///    a sleeping dispatcher — never on the lock-free submit path.
+  ///    evict), by per-target stats queries, and momentarily by a
+  ///    submitter waking a sleeping dispatcher — never on the lock-free
+  ///    submit path.
   ///  - `totals`, group counters, and telemetry are atomics / lock-free
   ///    recorders, updated and read without the mutex.
   ///
@@ -516,20 +510,15 @@ class Server {
     /// Submitters currently inside the publish protocol; the shutdown
     /// drain exits only once this is 0 (see dispatcher_loop).
     std::atomic<std::uint64_t> entrants{0};
-    /// Ring-path requests not yet resolved (in ring, queued, or mid
-    /// batch). The single-row bypass fires only at 0: the shard is idle,
-    /// so nothing could coalesce and the mutex below is uncontended.
-    std::atomic<std::uint64_t> inflight{0};
     /// Shard-wide counters: the lock-free source for stats(). See
     /// GroupCounters for the double-count scheme.
     GroupCounters totals;
     std::atomic<std::uint64_t> ring_stalls{0};
     std::atomic<std::uint64_t> groups_seen{0};
     /// Admission accounting. pending_rows / pending_bytes track the
-    /// admitted-but-unresolved ring-path work the high-water marks bound
-    /// (incremented at publish, decremented at resolution — bypassed
-    /// requests never enter). shed_* / submit_deadline_fails mirror the
-    /// Stats fields of the same names.
+    /// admitted-but-unresolved work the high-water marks bound
+    /// (incremented at publish, decremented at resolution). shed_* /
+    /// submit_deadline_fails mirror the Stats fields of the same names.
     std::atomic<std::uint64_t> pending_rows{0};
     std::atomic<std::uint64_t> pending_bytes{0};
     std::atomic<std::uint64_t> shed_requests{0};
@@ -552,7 +541,7 @@ class Server {
   /// and coalescing stay per-target exactly as before sharding.
   [[nodiscard]] Shard& shard_of(const void* target) const;
   /// Common post-validation path of submit / submit_ffn / submit_decode:
-  /// bypass or publish to the shard ring (with full-ring backpressure),
+  /// admission, publish to the shard ring (with full-ring backpressure),
   /// wake the dispatcher.
   std::future<Status> enqueue(Target target, ConstViewF A, ViewF C,
                               std::uint64_t deadline_us,
@@ -579,10 +568,6 @@ class Server {
   /// Requires shard.mutex (group map read); staging itself is the
   /// dispatcher's own.
   void prune_staging(Shard& shard, StagingMap& staging);
-  /// Run @p target once, stamping the execute window and the repack
-  /// events inside it into @p x. The one call every serving path makes.
-  Status execute(const Target& target, Execution& x, ConstViewF a,
-                 const std::uint64_t* seq_ids, ViewF c, Status* row_status);
   /// Assemble, execute, scatter, and resolve one batch (no lock held).
   /// Returns the batch's worst Status. May throw (e.g. staging growth
   /// failure); the dispatcher's guard then resolves the rest of the

@@ -1,13 +1,15 @@
 // Decode attention + KV cache: the deterministic 16-lane reductions must
 // be bit-identical across scalar/AVX2/AVX-512, the streaming softmax must
 // match a long-double two-pass oracle on adversarial logits, RoPE must be
-// an isometry with position 0 the identity, and the paged KvCache must
+// an isometry with position 0 the identity, pooled attention must match
+// the serial bits at every thread count, and the paged KvCache must
 // enforce its typed lifecycle statuses, page budget, and recycling.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "attn/attention.hpp"
@@ -15,6 +17,7 @@
 #include "core/epilogue.hpp"
 #include "core/reduce.hpp"
 #include "tests/testing.hpp"
+#include "util/thread_pool.hpp"
 #include "workloads/generators.hpp"
 
 namespace nmspmm {
@@ -412,6 +415,60 @@ TEST(DecodeAttention, GqaMatchesExplicitHeadMapping) {
     for (index_t j = 0; j < cfg.head_dim; ++j) {
       EXPECT_EQ(want, out[static_cast<std::size_t>(h * cfg.head_dim + j)])
           << "head " << h << " element " << j;
+    }
+  }
+}
+
+TEST(DecodeAttention, PooledAttendBitIdenticalToSerial) {
+  // attend() splits the query heads into contiguous runs on its pool;
+  // every split must reproduce the serial bits. MHA, GQA group 4, MQA,
+  // and 7 heads, which no tested pool size divides.
+  struct Heads {
+    index_t n_heads, n_kv_heads;
+  };
+  const Heads layouts[] = {{8, 8}, {8, 2}, {8, 1}, {7, 7}};
+  std::vector<std::shared_ptr<ThreadPool>> pools = {nullptr};
+  for (unsigned threads : {1u, 2u, 3u, 5u}) {
+    pools.push_back(std::make_shared<ThreadPool>(threads));
+  }
+  Rng rng(37);
+  for (const Heads& heads : layouts) {
+    AttnConfig cfg;
+    cfg.n_heads = heads.n_heads;
+    cfg.n_kv_heads = heads.n_kv_heads;
+    cfg.head_dim = 24;
+    for (const index_t context : {index_t{1}, index_t{17}, index_t{300}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << cfg.n_heads << "/" << cfg.n_kv_heads << " heads, "
+                   << context << " tokens");
+      KvCacheOptions kv_opt;
+      kv_opt.n_kv_heads = cfg.n_kv_heads;
+      kv_opt.head_dim = cfg.head_dim;
+      kv_opt.page_tokens = 16;
+      kv_opt.max_tokens = context;
+      KvCache cache(kv_opt);
+      NMSPMM_ASSERT_OK(cache.begin_sequence(1));
+      const DecodeAttention serial(cfg, nullptr);
+      const MatrixF ks = random_matrix(context, cfg.kv_dim(), rng);
+      const MatrixF vs = random_matrix(context, cfg.kv_dim(), rng);
+      std::vector<float> k(static_cast<std::size_t>(cfg.kv_dim()));
+      for (index_t t = 0; t < context; ++t) {
+        std::copy_n(ks.row(t), cfg.kv_dim(), k.data());
+        NMSPMM_ASSERT_OK(serial.append(cache, 1, k.data(), vs.row(t)));
+      }
+      const MatrixF q0 = random_matrix(1, cfg.q_dim(), rng);
+      const auto attend = [&](const DecodeAttention& op) {
+        std::vector<float> q(q0.row(0), q0.row(0) + cfg.q_dim());
+        std::vector<float> out(static_cast<std::size_t>(cfg.q_dim()));
+        NMSPMM_CHECK_OK(op.attend(cache, 1, q.data(), out.data()));
+        return out;
+      };
+      const std::vector<float> want = attend(serial);
+      for (const auto& pool : pools) {
+        const unsigned threads = pool == nullptr ? 0 : pool->size();
+        EXPECT_EQ(want, attend(DecodeAttention(cfg, pool)))
+            << threads << "-thread pool";
+      }
     }
   }
 }

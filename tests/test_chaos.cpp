@@ -164,7 +164,7 @@ void expect_conserved(const Outcomes& out, const Server::Stats& stats) {
 }
 
 // Fault-free storm: the invariants must hold in every build, under every
-// admission policy, with and without the single-row bypass.
+// admission policy.
 TEST(Chaos, BaselineStormConservesCountersUnderEveryAdmissionPolicy) {
   Rng rng(701);
   auto b0 = shared_weights(64, 64, NMConfig{2, 4, 16}, rng);
@@ -172,26 +172,23 @@ TEST(Chaos, BaselineStormConservesCountersUnderEveryAdmissionPolicy) {
   for (const auto admission :
        {AdmissionPolicy::kBlock, AdmissionPolicy::kShed,
         AdmissionPolicy::kShedByClass}) {
-    for (const bool bypass : {false, true}) {
-      SCOPED_TRACE(static_cast<int>(admission) * 2 + (bypass ? 1 : 0));
-      StormConfig cfg;
-      cfg.server.num_shards = 2;
-      cfg.server.ring_capacity = 8;
-      cfg.server.max_batch_rows = 8;
-      cfg.server.bypass_single_rows = bypass;
-      cfg.server.admission = admission;
-      cfg.server.shed_pending_rows = 16;
-      cfg.seed = 702 + static_cast<std::uint64_t>(bypass);
-      Server::Stats stats;
-      const Outcomes out = run_storm(cfg, b0, b1, &stats);
-      expect_conserved(out, stats);
-      // Without faults nothing forces the ring shut mid-spin, so
-      // DEADLINE/UNAVAILABLE can only come from their documented paths;
-      // under kBlock nothing is ever shed.
-      if (admission == AdmissionPolicy::kBlock) {
-        EXPECT_EQ(stats.shed_requests, 0u);
-        EXPECT_EQ(out.resource_exhausted, 0u);
-      }
+    SCOPED_TRACE(static_cast<int>(admission));
+    StormConfig cfg;
+    cfg.server.num_shards = 2;
+    cfg.server.ring_capacity = 8;
+    cfg.server.max_batch_rows = 8;
+    cfg.server.admission = admission;
+    cfg.server.shed_pending_rows = 16;
+    cfg.seed = 702;
+    Server::Stats stats;
+    const Outcomes out = run_storm(cfg, b0, b1, &stats);
+    expect_conserved(out, stats);
+    // Without faults nothing forces the ring shut mid-spin, so
+    // DEADLINE/UNAVAILABLE can only come from their documented paths;
+    // under kBlock nothing is ever shed.
+    if (admission == AdmissionPolicy::kBlock) {
+      EXPECT_EQ(stats.shed_requests, 0u);
+      EXPECT_EQ(out.resource_exhausted, 0u);
     }
   }
 }
@@ -253,7 +250,6 @@ TEST(Chaos, HundredSeededFaultSchedulesPreserveServingInvariants) {
     cfg.server.ring_capacity = 8;
     cfg.server.max_batch_rows = 8;
     cfg.server.max_wait_us = 100;
-    cfg.server.bypass_single_rows = (seed % 2 == 0);
     cfg.server.admission = static_cast<AdmissionPolicy>(seed % 3);
     cfg.server.shed_pending_rows = 16;
     // Arm the flight recorder: trace every request so a failing seed
@@ -285,7 +281,6 @@ TEST(Chaos, ServerSurvivesStagingAllocFailureAndKeepsServing) {
   auto b = shared_weights(64, 64, NMConfig{2, 4, 16}, rng);
   ServerOptions opt;
   opt.num_shards = 1;
-  opt.bypass_single_rows = false;
   // The staging path only runs for coalesced (multi-request) batches —
   // a lone request borrows the caller's views directly. A generous
   // max_wait lets two back-to-back submits land in one batch.

@@ -3,8 +3,8 @@
 // projection + residual -> FFN) must match the unfused reference
 // bit-for-bit at 1 and 4 threads, the RMSNorm prologue must match the
 // shared rmsnorm_rows helper, sequence lifecycle errors must stay typed
-// through the plan, and Server::submit_decode must serve the plan with
-// per-sequence status isolation on both the bypass and batched paths.
+// through the plan, and Server::submit_decode must serve the plan as
+// one batch per round of steps, with per-sequence status isolation.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -370,42 +370,63 @@ TEST(DecoderPlan, BatchStatusesStayBatchLevel) {
 
 // -------------------------------------------------- Server integration
 
-TEST(ServerDecode, SingleStepsBypassAndMatchDirectDecode) {
+// A generator's round: one client thread submits a decode step for each
+// of 16 sequences back to back, then waits on all 16. The round is one
+// batched DecoderPlan::decode (a full 16-row flush), and every output is
+// bit-identical to the same round decoded directly.
+TEST(ServerDecode, OneThreadsRoundOfStepsIsOneBatch) {
   Rng rng(47);
   const NMConfig cfg{2, 4, 16};
+  constexpr index_t kSeqs = 16;
+  constexpr int kRounds = 3;
   // One layer, planned twice: plan_decoder copies it, so the served plan
   // and the directly-driven twin share the exact same weights.
   const model::DecoderLayer layer = make_layer(rng, cfg);
-  Server server;  // bypass on by default
-  auto plan_or = server.engine().plan_decoder(4, layer, cache_for(64));
+  ServerOptions opt;
+  opt.max_wait_us = 60 * 1000 * 1000;  // only a full round flushes
+  Server server(opt);
+  const attn::KvCacheOptions kv = cache_for(kSeqs * 4);  // a page each
+  auto plan_or = server.engine().plan_decoder(kSeqs, layer, kv);
   NMSPMM_ASSERT_OK(plan_or.status());
   std::shared_ptr<model::DecoderPlan> plan = *plan_or;
   const index_t hidden = plan->hidden();
 
   Engine twin;
-  auto want_or = twin.plan_decoder(4, layer, cache_for(64));
+  auto want_or = twin.plan_decoder(kSeqs, layer, kv);
   NMSPMM_ASSERT_OK(want_or.status());
   std::shared_ptr<model::DecoderPlan> want_plan = *want_or;
 
-  NMSPMM_ASSERT_OK(plan->begin_sequence(1));
-  NMSPMM_ASSERT_OK(want_plan->begin_sequence(1));
-  Rng data_rng(48);
-  for (int step = 0; step < 5; ++step) {
-    const MatrixF x = random_matrix(1, hidden, data_rng, -0.5f, 0.5f);
-    MatrixF out(1, hidden), want(1, hidden);
-    std::uint64_t id = 1;
-    Status row;
-    NMSPMM_ASSERT_OK(want_plan->decode(x.cview(), &id, want.view(), &row));
-    NMSPMM_ASSERT_OK(row);
-    auto done = server.submit_decode(1, x.cview(), plan, out.view());
-    ASSERT_EQ(done.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);  // bypassed: already resolved
-    NMSPMM_ASSERT_OK(done.get());
-    EXPECT_EQ(max_abs_diff(want.cview(), out.cview()), 0.0);
+  std::vector<std::uint64_t> ids;
+  for (index_t i = 0; i < kSeqs; ++i) {
+    ids.push_back(static_cast<std::uint64_t>(100 + i));
+    NMSPMM_ASSERT_OK(plan->begin_sequence(ids.back()));
+    NMSPMM_ASSERT_OK(want_plan->begin_sequence(ids.back()));
   }
-  const Server::GroupStats stats = server.decode_stats(plan.get());
-  EXPECT_EQ(stats.requests, 5u);
-  EXPECT_EQ(stats.bypassed, 5u);
+  Rng data_rng(48);
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE(round);
+    const MatrixF x = random_matrix(kSeqs, hidden, data_rng, -0.5f, 0.5f);
+    MatrixF out(kSeqs, hidden), want(kSeqs, hidden);
+    std::vector<Status> rows(static_cast<std::size_t>(kSeqs));
+    NMSPMM_ASSERT_OK(
+        want_plan->decode(x.cview(), ids.data(), want.view(), rows.data()));
+    for (const Status& row : rows) NMSPMM_ASSERT_OK(row);
+
+    std::vector<std::future<Status>> done;
+    for (index_t i = 0; i < kSeqs; ++i) {
+      done.push_back(server.submit_decode(
+          ids[static_cast<std::size_t>(i)], x.cview().block(i, 0, 1, hidden),
+          plan, out.view().block(i, 0, 1, hidden)));
+    }
+    for (auto& f : done) NMSPMM_ASSERT_OK(f.get());
+    EXPECT_EQ(max_abs_diff(want.cview(), out.cview()), 0.0);
+
+    const Server::GroupStats stats = server.stats().totals;
+    const auto served = static_cast<std::uint64_t>(round + 1);
+    EXPECT_EQ(stats.batches, served);
+    EXPECT_EQ(stats.full_flushes, served);
+    EXPECT_EQ(stats.rows, served * kSeqs);
+  }
 }
 
 TEST(ServerDecode, CoalescedBatchesIsolatePerSequenceFailures) {
@@ -413,8 +434,7 @@ TEST(ServerDecode, CoalescedBatchesIsolatePerSequenceFailures) {
   const NMConfig cfg{2, 4, 16};
   ServerOptions opt;
   opt.max_batch_rows = 4;
-  opt.max_wait_us = 200000;        // only full batches flush early
-  opt.bypass_single_rows = false;  // force the batched path
+  opt.max_wait_us = 200000;  // only full batches flush early
   Server server(opt);
   auto plan_or = server.engine().plan_decoder(4, make_layer(rng, cfg),
                                               cache_for(64));

@@ -358,8 +358,7 @@ TEST(ServerFfn, SubmitFfnCoalescesAndMatchesDirectRuns) {
 
   ServerOptions opt;
   opt.max_batch_rows = 16;
-  opt.max_wait_us = 200000;          // only full batches flush early
-  opt.bypass_single_rows = false;    // force everything through batching
+  opt.max_wait_us = 200000;  // only full batches flush early
   Server server(opt);
   auto plan_or = server.engine().plan_model(32, {block});
   NMSPMM_ASSERT_OK(plan_or.status());
@@ -393,7 +392,6 @@ TEST(ServerFfn, SubmitFfnCoalescesAndMatchesDirectRuns) {
   EXPECT_EQ(stats.requests, 24u);
   EXPECT_LT(stats.batches, stats.requests);  // genuinely coalesced
   EXPECT_GT(stats.full_flushes, 0u);
-  EXPECT_EQ(stats.bypassed, 0u);
 }
 
 TEST(ServerFfn, RejectsRequestsBeyondThePlanTokenBudget) {
@@ -410,32 +408,6 @@ TEST(ServerFfn, RejectsRequestsBeyondThePlanTokenBudget) {
   EXPECT_EQ(refused.get().code(), StatusCode::kFailedPrecondition);
   auto null_plan = server.submit_ffn(big.view(), nullptr, out.view());
   EXPECT_EQ(null_plan.get().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ServerFfn, SingleRowFfnRequestsBypassTheDispatcher) {
-  Rng rng(957);
-  const NMConfig cfg{2, 4, 16};
-  const model::FfnBlock block = make_block(64, 96, cfg, rng, false);
-  Server server;  // bypass on by default
-  auto plan_or = server.engine().plan_model(16, {block});
-  NMSPMM_ASSERT_OK(plan_or.status());
-  std::shared_ptr<model::ModelPlan> plan = *plan_or;
-
-  for (int i = 0; i < 6; ++i) {
-    const MatrixF a = random_int_matrix(1, 64, rng);
-    MatrixF out(1, 64), want(1, 64);
-    plan->run(a.view(), want.view()).check_ok();
-    auto done = server.submit_ffn(a.view(), plan, out.view());
-    // A bypassed request is already resolved when submit returns.
-    ASSERT_EQ(done.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    NMSPMM_ASSERT_OK(done.get());
-    EXPECT_EQ(max_abs_diff(want.cview(), out.cview()), 0.0);
-  }
-  const Server::GroupStats stats = server.model_stats(plan.get());
-  EXPECT_EQ(stats.requests, 6u);
-  EXPECT_EQ(stats.bypassed, 6u);
-  EXPECT_EQ(stats.batches, 0u);  // bypass skips batch accounting
 }
 
 }  // namespace

@@ -288,52 +288,34 @@ TEST(Server, EvictsIdleGroupsBeyondMaxGroups) {
   EXPECT_GE(released, 3);
 }
 
-TEST(Server, SingleRowRequestsBypassDispatchWhenQueueIsEmpty) {
+// One client thread submits a round of 1-row requests back to back and
+// only then waits: they coalesce into one SpMM (one read of the weights),
+// each row bit-identical to the reference.
+TEST(Server, SingleRowsFromOneThreadCoalesceIntoOneBatch) {
   Rng rng(906);
   const index_t k = 64, n = 64;
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
-  Server server;  // bypass_single_rows defaults on
-  for (int i = 0; i < 8; ++i) {
-    const MatrixF A = random_int_matrix(1, k, rng);
-    MatrixF C(1, n);
-    auto done = server.submit(A.view(), B, C.view());
-    // Bypassed requests are served synchronously: the future is already
-    // resolved when submit returns, with a correct result.
-    ASSERT_EQ(done.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    NMSPMM_ASSERT_OK(done.get());
-    EXPECT_EQ(max_abs_diff(reference_for(A.view(), *B).cview(), C.cview()),
-              0.0);
+  ServerOptions opt;
+  opt.max_batch_rows = 8;
+  opt.max_wait_us = 60 * 1000 * 1000;  // flush only when full
+  Server server(opt);
+  const MatrixF A = random_int_matrix(8, k, rng);
+  MatrixF C(8, n);
+  std::vector<std::future<Status>> done;
+  for (index_t i = 0; i < 8; ++i) {
+    done.push_back(server.submit(A.cview().block(i, 0, 1, k), B,
+                                 C.view().block(i, 0, 1, n)));
   }
+  for (auto& f : done) NMSPMM_ASSERT_OK(f.get());
+  EXPECT_EQ(max_abs_diff(reference_for(A.view(), *B).cview(), C.cview()),
+            0.0);
 
-  // Bypass skips batch accounting entirely: requests and rows count,
-  // batches and flush counters do not move.
   const Server::GroupStats stats = server.weights_stats(B.get());
   EXPECT_EQ(stats.requests, 8u);
   EXPECT_EQ(stats.rows, 8u);
-  EXPECT_EQ(stats.bypassed, 8u);
-  EXPECT_EQ(stats.batches, 0u);
-  EXPECT_EQ(stats.full_flushes, 0u);
-  EXPECT_EQ(stats.timeout_flushes, 0u);
-  EXPECT_EQ(stats.max_queue_depth, 0u);
-}
-
-TEST(Server, BypassCanBeDisabled) {
-  Rng rng(907);
-  const index_t k = 64, n = 64;
-  auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
-
-  ServerOptions opt;
-  opt.bypass_single_rows = false;
-  opt.max_wait_us = 500;
-  Server server(opt);
-  const MatrixF A = random_int_matrix(1, k, rng);
-  MatrixF C(1, n);
-  NMSPMM_ASSERT_OK(server.submit(A.view(), B, C.view()).get());
-  const Server::GroupStats stats = server.weights_stats(B.get());
-  EXPECT_EQ(stats.bypassed, 0u);
   EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.full_flushes, 1u);
 }
 
 TEST(Server, DispatcherGuardFailsBatchWithInternalInsteadOfTerminating) {
@@ -344,7 +326,6 @@ TEST(Server, DispatcherGuardFailsBatchWithInternalInsteadOfTerminating) {
   ServerOptions opt;
   opt.max_batch_rows = 2;
   opt.max_wait_us = 60 * 1000 * 1000;  // flush only when full
-  opt.bypass_single_rows = false;      // force the queued path
   opt.max_staging_bytes = 1;  // any multi-request gather trips the guard
   Server server(opt);
 
@@ -547,7 +528,7 @@ TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
   Server server(opt);  // telemetry defaults on
 
   for (int i = 0; i < 6; ++i) {
-    const MatrixF a1 = random_int_matrix(1, k, rng);  // decode (bypassed)
+    const MatrixF a1 = random_int_matrix(1, k, rng);  // decode
     MatrixF c1(1, n);
     NMSPMM_ASSERT_OK(server.submit(a1.view(), B, c1.view()).get());
     const MatrixF a3 = random_int_matrix(3, k, rng);  // prefill (batched)
@@ -560,12 +541,14 @@ TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
   const auto latency = server.stats().latency;
   EXPECT_EQ(latency.requests(RequestClass::kDecode), 6u);
   EXPECT_EQ(latency.requests(RequestClass::kPrefill), 6u);
-  // Batched prefill requests pass through every stage; bypassed decode
-  // requests skip queue/gather but record submit/execute/total.
-  EXPECT_EQ(latency.stage(RequestClass::kPrefill, Stage::kQueue).count, 6u);
-  EXPECT_EQ(latency.stage(RequestClass::kPrefill, Stage::kGather).count, 6u);
-  EXPECT_EQ(latency.stage(RequestClass::kDecode, Stage::kExecute).count, 6u);
-  EXPECT_EQ(latency.stage(RequestClass::kDecode, Stage::kQueue).count, 0u);
+  // Every request, decode and prefill alike, passes through every stage.
+  for (const RequestClass cls : {RequestClass::kDecode,
+                                 RequestClass::kPrefill}) {
+    for (const Stage stage : {Stage::kQueue, Stage::kGather,
+                              Stage::kExecute}) {
+      EXPECT_EQ(latency.stage(cls, stage).count, 6u);
+    }
+  }
   EXPECT_GT(latency.stage(RequestClass::kPrefill, Stage::kTotal).p99(), 0u);
   // The per-target view agrees with the aggregate for a one-group server.
   EXPECT_EQ(server.weights_latency(B.get()).total_requests(),
@@ -708,7 +691,6 @@ TEST(ServerSharded, FullRingBackpressuresSubmittersAndCountsStalls) {
   ServerOptions opt;
   opt.num_shards = 1;
   opt.ring_capacity = 2;  // deliberately tiny: force the full-ring path
-  opt.bypass_single_rows = false;
   opt.max_batch_rows = 8;
   opt.max_wait_us = 0;  // dispatcher flushes continuously (stays busy)
   Server server(opt);
@@ -755,7 +737,6 @@ TEST(ServerSharded, EvictionDuringConcurrentFlushesReleasesWeights) {
   ServerOptions opt;
   opt.num_shards = 2;
   opt.max_groups = 1;  // per shard: every new target evicts the old one
-  opt.bypass_single_rows = false;
   opt.max_batch_rows = 4;
   opt.max_wait_us = 100;
   opt.engine.plan_cache_capacity = 1;
@@ -887,8 +868,7 @@ TEST(ServerSharded, StatsReadableLockFreeDuringConcurrentLoad) {
     while (!stop_polling.load(std::memory_order_acquire)) {
       const auto stats = server.stats();
       EXPECT_GE(stats.totals.requests, last_requests);
-      EXPECT_GE(stats.totals.requests,
-                stats.totals.bypassed + stats.totals.errors);
+      EXPECT_GE(stats.totals.requests, stats.totals.errors);
       last_requests = stats.totals.requests;
       static_cast<void>(server.weights_stats(B.get()));
     }
@@ -944,7 +924,6 @@ TEST(ServerOverload, ShedFailsFastOverHighWaterAndCountsShedBytes) {
   opt.num_shards = 1;
   opt.admission = AdmissionPolicy::kShed;
   opt.shed_pending_rows = 2;       // exactly one 2-row request fits
-  opt.bypass_single_rows = false;
   opt.max_batch_rows = 64;
   opt.max_wait_us = 60 * 1000 * 1000;  // first request parks in its queue
   Server server(opt);
@@ -985,7 +964,6 @@ TEST(ServerOverload, ShedByClassProtectsSingleRowDecode) {
   opt.num_shards = 1;
   opt.admission = AdmissionPolicy::kShedByClass;
   opt.shed_pending_rows = 1;  // any multi-row admission trips the mark
-  opt.bypass_single_rows = false;
   Server server(opt);
 
   // Prefill (multi-row) sheds under the mark; a decode row submitted at
@@ -1015,7 +993,6 @@ TEST(ServerOverload, BlockedSubmitFailsAtItsOwnDeadline) {
   ServerOptions opt;
   opt.num_shards = 1;
   opt.ring_capacity = 2;  // tiny: submits routinely find it full
-  opt.bypass_single_rows = false;
   opt.max_batch_rows = 8;
   opt.max_wait_us = 0;  // dispatcher flushes continuously (stays busy)
   Server server(opt);
@@ -1066,7 +1043,6 @@ TEST(ServerOverload, OpenLoopRetryBudgetBoundsRetryStorms) {
   opt.num_shards = 1;
   opt.admission = AdmissionPolicy::kShed;
   opt.shed_pending_rows = 1;  // 2-row requests can never be admitted
-  opt.bypass_single_rows = false;
   Server server(opt);
 
   serve::TrafficOptions traffic;
@@ -1141,7 +1117,6 @@ TEST(ServerOverload, StatusTaxonomyCoversEveryServingErrorPath) {
          ServerOptions opt;
          opt.admission = AdmissionPolicy::kShed;
          opt.shed_pending_rows = 1;
-         opt.bypass_single_rows = false;
          Server server(opt);
          const MatrixF a = random_int_matrix(2, k, rng);
          MatrixF c(2, n);
@@ -1150,7 +1125,6 @@ TEST(ServerOverload, StatusTaxonomyCoversEveryServingErrorPath) {
       {"deadline expired before drain", StatusCode::kDeadlineExceeded,
        [&] {
          ServerOptions opt;
-         opt.bypass_single_rows = false;
          opt.max_wait_us = 60 * 1000 * 1000;  // only the drain flushes
          opt.slo_aware = false;
          Server server(opt);
@@ -1197,7 +1171,7 @@ TEST(ServerTelemetry, CanBeDisabled) {
 // goes through the same execution call and the same stage record.
 
 enum class TargetCase { kWeights, kModelPlan, kDecoderPlan };
-enum class PathCase { kBypass, kLoneRing, kCoalesced };
+enum class PathCase { kLoneRing, kCoalesced };
 
 const char* to_string(TargetCase t) {
   switch (t) {
@@ -1210,7 +1184,6 @@ const char* to_string(TargetCase t) {
 
 const char* to_string(PathCase p) {
   switch (p) {
-    case PathCase::kBypass: return "bypass";
     case PathCase::kLoneRing: return "lone ring request";
     case PathCase::kCoalesced: return "coalesced batch";
   }
@@ -1245,16 +1218,14 @@ TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
   for (const TargetCase target :
        {TargetCase::kWeights, TargetCase::kModelPlan,
         TargetCase::kDecoderPlan}) {
-    for (const PathCase path :
-         {PathCase::kBypass, PathCase::kLoneRing, PathCase::kCoalesced}) {
+    for (const PathCase path : {PathCase::kLoneRing, PathCase::kCoalesced}) {
       SCOPED_TRACE(std::string(to_string(target)) + " / " + to_string(path));
       const int count = path == PathCase::kCoalesced ? 2 : 1;
       ServerOptions opt;
       opt.num_shards = 1;
       opt.trace_sample_n = 1;
-      opt.bypass_single_rows = path == PathCase::kBypass;
       // A budget of exactly `count` rows and a minute-long max_wait: the
-      // ring-path requests flush together, as one full batch.
+      // requests flush together, as one full batch.
       opt.max_batch_rows = count;
       opt.max_wait_us = 60 * 1000 * 1000;
       Server server(opt);
@@ -1327,19 +1298,14 @@ TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
 
       const Server::Stats stats = server.stats();
       const auto n = static_cast<std::uint64_t>(count);
-      const bool bypass = path == PathCase::kBypass;
-      EXPECT_EQ(stats.totals.bypassed, bypass ? n : 0u);
-      EXPECT_EQ(stats.totals.batches, bypass ? 0u : 1u);
-      // Per-class stage counts (1-row requests are all class decode): the
-      // bypass never queues or gathers; the ring path records all five.
+      EXPECT_EQ(stats.totals.batches, 1u);
+      // Per-class stage counts (1-row requests are all class decode):
+      // every request records all five.
       using serve::RequestClass;
       using serve::Stage;
       for (const Stage stage : {Stage::kSubmit, Stage::kQueue, Stage::kGather,
                                 Stage::kExecute, Stage::kTotal}) {
-        const bool skipped =
-            bypass && (stage == Stage::kQueue || stage == Stage::kGather);
-        EXPECT_EQ(stats.latency.stage(RequestClass::kDecode, stage).count,
-                  skipped ? 0u : n)
+        EXPECT_EQ(stats.latency.stage(RequestClass::kDecode, stage).count, n)
             << serve::to_string(stage);
         EXPECT_EQ(stats.latency.stage(RequestClass::kPrefill, stage).count,
                   0u);
@@ -1353,23 +1319,18 @@ TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
         spans[span.trace_id][span.kind] = span;
       }
       ASSERT_EQ(spans.size(), static_cast<std::size_t>(count));
-      const auto lane =
-          bypass ? obs::ExecLane::kBypass : obs::ExecLane::kCoalesce;
       for (const auto& [id, kinds] : spans) {
-        EXPECT_EQ(kinds.size(), bypass ? 3u : 5u);
+        EXPECT_EQ(kinds.size(), 5u);
         for (const auto& [kind, span] : kinds) {
           SCOPED_TRACE(obs::to_string(kind));
           EXPECT_EQ(span.target, static_cast<std::uint64_t>(
                                      reinterpret_cast<std::uintptr_t>(
                                          target_id)));
           EXPECT_EQ(span.rows, 1u);
-          const bool pre_batch = !bypass && kind == obs::SpanKind::kSubmit;
-          EXPECT_EQ(span.lane, pre_batch ? obs::ExecLane::kNone : lane);
-          EXPECT_EQ(span.flush == obs::kNoAttr, bypass || pre_batch);
-        }
-        if (bypass) {
-          EXPECT_EQ(kinds.count(obs::SpanKind::kQueue), 0u);
-          EXPECT_EQ(kinds.count(obs::SpanKind::kGather), 0u);
+          const bool pre_batch = kind == obs::SpanKind::kSubmit;
+          EXPECT_EQ(span.lane, pre_batch ? obs::ExecLane::kNone
+                                         : obs::ExecLane::kCoalesce);
+          EXPECT_EQ(span.flush == obs::kNoAttr, pre_batch);
         }
       }
     }

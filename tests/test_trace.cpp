@@ -66,7 +66,7 @@ TEST(TraceRecorder, AttributesSurviveThePackedSlotRoundTrip) {
   s.kind = SpanKind::kExecute;
   s.cls = 1;
   s.flush = 2;
-  s.lane = obs::ExecLane::kCoalesce;  // the highest lane value
+  s.lane = obs::ExecLane::kCoalesce;  // the one execute lane
   rec.record(s);
   const auto spans = rec.snapshot();
   ASSERT_EQ(spans.size(), 1u);
@@ -272,7 +272,7 @@ TEST(ServerTrace, DumpTraceFailsPreconditionWhenTracingIsOff) {
   EXPECT_EQ(stats.trace_drops, 0u);
 }
 
-// Every ring-path request traced at sample_n=1 leaves the full span
+// Every request traced at sample_n=1 leaves the full span
 // chain, the stage durations reconcile with the total, and the spans
 // carry the batch attributes the ISSUE promises (shard, flush, lane).
 TEST(ServerTrace, TracedRequestsLeaveReconcilableStageSpans) {
@@ -280,7 +280,6 @@ TEST(ServerTrace, TracedRequestsLeaveReconcilableStageSpans) {
   auto b = shared_weights(64, 64, rng);
   ServerOptions opt;
   opt.num_shards = 1;
-  opt.bypass_single_rows = false;  // force the ring path
   opt.trace_sample_n = 1;
   opt.max_wait_us = 100;
   Server server(opt);
@@ -339,7 +338,7 @@ TEST(ServerTrace, TracedRequestsLeaveReconcilableStageSpans) {
     const TraceSpan& exec = spans.at(SpanKind::kExecute);
     EXPECT_EQ(exec.shard, 0);
     EXPECT_NE(exec.flush, obs::kNoAttr);
-    EXPECT_NE(exec.lane, obs::ExecLane::kNone);
+    EXPECT_EQ(exec.lane, obs::ExecLane::kCoalesce);
     EXPECT_EQ(exec.cls, exec.rows <= 1 ? 0 : 1);
     EXPECT_EQ(exec.target, static_cast<std::uint64_t>(
                                reinterpret_cast<std::uintptr_t>(b.get())));
@@ -354,33 +353,6 @@ TEST(ServerTrace, TracedRequestsLeaveReconcilableStageSpans) {
   NMSPMM_ASSERT_OK(server.dump_trace(path));
   std::ifstream file(path);
   EXPECT_TRUE(file.good());
-}
-
-// The bypass lane traces too: submit/execute/total, no queue stages.
-TEST(ServerTrace, BypassedRequestsTraceTheSynchronousLane) {
-  Rng rng(32);
-  auto b = shared_weights(64, 64, rng);
-  ServerOptions opt;
-  opt.num_shards = 1;
-  opt.bypass_single_rows = true;
-  opt.trace_sample_n = 1;
-  Server server(opt);
-  const MatrixF a = random_int_matrix(1, 64, rng);
-  MatrixF c(1, 64);
-  NMSPMM_ASSERT_OK(server.submit(a.view(), b, c.view()).get());
-  ASSERT_EQ(server.stats().totals.bypassed, 1u);
-  std::map<SpanKind, int> kinds;
-  bool saw_bypass_lane = false;
-  for (const TraceSpan& s : server.tracer()->snapshot()) {
-    ++kinds[s.kind];
-    if (s.lane == obs::ExecLane::kBypass) saw_bypass_lane = true;
-  }
-  EXPECT_EQ(kinds[SpanKind::kSubmit], 1);
-  EXPECT_EQ(kinds[SpanKind::kExecute], 1);
-  EXPECT_EQ(kinds[SpanKind::kTotal], 1);
-  EXPECT_EQ(kinds[SpanKind::kQueue], 0);
-  EXPECT_EQ(kinds[SpanKind::kGather], 0);
-  EXPECT_TRUE(saw_bypass_lane);
 }
 
 // sample_n > 1 traces exactly every n-th submission (the sampling
