@@ -33,7 +33,6 @@ int main(int argc, char** argv) {
   cli.add_int("max_batch", 64, "server flush threshold in rows");
   cli.add_int("max_wait_us", 200, "server flush deadline in microseconds");
   cli.add_int("threads", 0, "engine pool size (0 = hardware concurrency)");
-  cli.add_int("shards", 0, "dispatcher shards (0 = auto)");
   if (!cli.parse(argc, argv)) return 1;
   const index_t n = cli.get_int("n"), k = cli.get_int("k");
   const index_t requests = cli.get_int("requests");
@@ -75,7 +74,6 @@ int main(int argc, char** argv) {
   server_opt.max_batch_rows = cli.get_int("max_batch");
   server_opt.max_wait_us =
       static_cast<std::uint32_t>(cli.get_int("max_wait_us"));
-  server_opt.num_shards = static_cast<unsigned>(cli.get_int("shards"));
   server_opt.engine = engine_opt;
   Server server(server_opt);
   std::vector<std::future<Status>> done(static_cast<std::size_t>(requests));

@@ -19,8 +19,7 @@
 //   4. submit overhead: contended multi-thread submit throughput with
 //      telemetry on vs off — the lock-free capture path must be free;
 //   5. submit scaling: achieved rps at 1/2/4/8 submitter threads — the
-//      sharded lock-free submit path must not serialize under
-//      contention (emitted as "submit_scaling" for the trend gate).
+//      lock-free submit path must not serialize under contention (emitted as "submit_scaling" for the trend gate).
 //
 // The sweep additionally replays the mid load with bursty MMPP-2
 // arrivals (same mean rate) and emits its per-class p99 as "bursty":
@@ -188,7 +187,6 @@ int main(int argc, char** argv) {
   cli.add_int("decode_deadline_us", 3000, "decode-class SLO budget");
   cli.add_int("prefill_deadline_us", 50000, "prefill-class SLO budget");
   cli.add_int("threads", 0, "engine pool size (0 = hardware concurrency)");
-  cli.add_int("shards", 0, "server dispatcher shards (0 = auto)");
   cli.add_int("submit_threads", 2, "open-loop source threads");
   cli.add_int("seed", 42, "traffic schedule seed");
   cli.add_int("store_budget_mb", 256,
@@ -243,11 +241,8 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("store_budget_mb")) << 20;
   engine_opt.weight_store = std::make_shared<mem::WeightStore>(store_opt);
 
-  const auto num_shards = static_cast<unsigned>(cli.get_int("shards"));
-
   ServerOptions sweep_opt;
   sweep_opt.engine = engine_opt;
-  sweep_opt.num_shards = num_shards;
   sweep_opt.max_batch_rows = 64;
   sweep_opt.max_wait_us = 1000;
 
@@ -473,7 +468,7 @@ int main(int argc, char** argv) {
   const double mid_rps =
       std::min(loads[1].offered_rps, 0.25 / decode_exec_s);
   auto run_policy = [&](bool slo_aware) {
-    ServerOptions opt = sweep_opt;  // carries num_shards
+    ServerOptions opt = sweep_opt;
     opt.slo_aware = slo_aware;
     opt.max_wait_us = 5000;  // generous: what a fixed policy costs decode
     // Headroom ~ one decode batch's service time, so the early flush
@@ -514,7 +509,6 @@ int main(int argc, char** argv) {
                                   std::uint32_t trace_sample_n = 0) {
     ServerOptions opt;
     opt.engine.num_threads = static_cast<unsigned>(cli.get_int("threads"));
-    opt.num_shards = num_shards;
     opt.telemetry = telemetry;
     opt.trace_sample_n = trace_sample_n;
     auto server = std::make_unique<Server>(opt);
@@ -564,11 +558,11 @@ int main(int argc, char** argv) {
             << ")\n";
 
   // --- 5. submit scaling: achieved rps as submitter threads grow.
-  // This is the sharded-dispatch payoff surface: with lock-free rings
-  // the submit path itself must not serialize, so achieved throughput
-  // should hold (and on multi-core, grow) as contention rises. One
-  // fixed server (telemetry on — the production configuration), same
-  // total request count per point, best-of-3 per point.
+  // With a lock-free ring the submit path itself must not serialize, so
+  // achieved throughput should hold (and on multi-core, grow) as
+  // contention rises. One fixed server (telemetry on — the production
+  // configuration), same total request count per point, best-of-3 per
+  // point.
   const int scaling_threads[4] = {1, 2, 4, 8};
   double scaling_rps[4] = {0.0, 0.0, 0.0, 0.0};
   auto scaling_server = make_overhead_server(true);
@@ -649,8 +643,7 @@ int main(int argc, char** argv) {
        << ", \"prefill_p99_us\": " << bursty_mid.prefill.p99
        << ", \"slo_violations\": " << bursty_mid.slo_violations
        << ", \"ring_stalls\": " << bursty_mid.ring_stalls << "}"
-       << ",\n    \"submit_scaling\": {\"shards\": "
-       << cli.get_int("shards") << ", \"points\": [";
+       << ",\n    \"submit_scaling\": {\"points\": [";
   for (int i = 0; i < 4; ++i) {
     if (i > 0) json << ", ";
     json << "{\"threads\": " << scaling_threads[i]

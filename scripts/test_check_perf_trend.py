@@ -56,7 +56,7 @@ def artifact(cpu="Test CPU v1", v3=100.0, requests_per_s=5000.0,
             "bursty": {"offered_rps": bursty_offered_rps,
                        "decode_p99_us": bursty_decode_p99_us,
                        "prefill_p99_us": 40000},
-            "submit_scaling": {"shards": 0, "points": [
+            "submit_scaling": {"points": [
                 {"threads": 1, "rps": 10000.0},
                 {"threads": 4, "rps": submit_4t_rps},
             ]},

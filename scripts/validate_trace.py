@@ -7,7 +7,7 @@ Validates two files (stdlib only, CI-friendly):
      bench_serving_open --trace) writes: structural JSON validity, the
      trace-event fields Perfetto requires (name/cat/ph/pid/tid/ts/dur),
      the span vocabulary this repo emits (span kinds, categories, flush
-     reasons, execution lanes, hex target ids), and per-request
+     reasons, hex target ids), and per-request
      reconcilability — for every traced request that carries all of
      submit/queue/gather/execute, the stage durations must not exceed
      the request's total span by more than the allowed skew;
@@ -36,7 +36,6 @@ CATEGORIES = {"decode", "prefill", "serve", "mem", "attn"}
 # stage reconciliation below.
 WINDOW_NAMES = {"repack", "attn", "kv_append"}
 FLUSHES = {"full", "timeout", "slo", "shutdown", "-"}
-LANES = {"-", "coalesce"}
 TARGET_RE = re.compile(r"^0x[0-9a-f]+$")
 NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABELS_RE = re.compile(
@@ -85,8 +84,6 @@ def validate_trace(path, min_spans, skew_us, errors):
             continue
         if args.get("flush") not in FLUSHES:
             errors.append(f"{where}: unknown flush {args.get('flush')!r}")
-        if args.get("lane") not in LANES:
-            errors.append(f"{where}: unknown lane {args.get('lane')!r}")
         if not TARGET_RE.match(str(args.get("target", ""))):
             errors.append(f"{where}: target must be a hex pointer, "
                           f"got {args.get('target')!r}")

@@ -189,30 +189,8 @@ std::string render_prometheus(const Server::Stats& stats,
           "Trace spans overwritten by ring wraparound", stats.trace_drops);
   gauge(out, p, "groups", "Distinct (target, options) groups seen",
         stats.groups);
-  gauge(out, p, "shards", "Dispatcher shards", stats.shards);
   gauge(out, p, "max_queue_depth", "Peak pending requests in any group",
         stats.totals.max_queue_depth);
-
-  // Per-shard counters, one family header then a sample per shard.
-  if (!stats.per_shard.empty()) {
-    out += "# HELP " + p + "_shard_requests_total Per-shard counters\n";
-    out += "# TYPE " + p + "_shard_requests_total counter\n";
-    for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
-      std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      sample(out, p, "shard_requests_total", labels,
-             stats.per_shard[i].requests);
-    }
-    out += "# TYPE " + p + "_shard_batches_total counter\n";
-    for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
-      std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      sample(out, p, "shard_batches_total", labels, stats.per_shard[i].batches);
-    }
-    out += "# TYPE " + p + "_shard_errors_total counter\n";
-    for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
-      std::string labels = "{shard=\"" + std::to_string(i) + "\"}";
-      sample(out, p, "shard_errors_total", labels, stats.per_shard[i].errors);
-    }
-  }
 
   // Latency histograms per (class, stage), plus exact min/max gauges
   // (the histogram's _sum/_count give the exact mean).
@@ -295,8 +273,6 @@ std::string render_json(const Server::Stats& stats,
   append_json_group(out, stats.totals);
   out += ",\"groups\":";
   append_u64(out, stats.groups);
-  out += ",\"shards\":";
-  append_u64(out, stats.shards);
   out += ",\"ring_stalls\":";
   append_u64(out, stats.ring_stalls);
   out += ",\"shed_requests\":";
@@ -309,12 +285,7 @@ std::string render_json(const Server::Stats& stats,
   append_u64(out, stats.trace_spans);
   out += ",\"trace_drops\":";
   append_u64(out, stats.trace_drops);
-  out += ",\"per_shard\":[";
-  for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
-    if (i > 0) out += ",";
-    append_json_group(out, stats.per_shard[i]);
-  }
-  out += "],\"latency\":";
+  out += ",\"latency\":";
   append_json_latency(out, stats.latency);
   out += ",\"targets\":{";
   for (std::size_t i = 0; i < targets.size(); ++i) {

@@ -15,7 +15,7 @@
 //    object, for harnesses that want numbers without a Prometheus
 //    parser.
 //
-// Per-shard counters ride with a shard="i" label; per-target sections
+// Per-target sections
 // (a target is one weight matrix / model plan) are opt-in via the
 // targets argument because only the caller knows a printable name for a
 // target pointer — target labels are escaped per the exposition rules.

@@ -8,36 +8,26 @@
 namespace nmspmm::obs {
 namespace {
 
-// Word layout of a published slot (all relaxed atomics; the per-slot
-// seqlock orders them against readers):
+// Word layout of a published slot (the per-slot seqlock orders them
+// against readers):
 //   w0 trace_id   w1 ts_us   w2 dur_us   w3 target   w4 detail
-//   w5 attrs: kind | cls<<8 | flush<<16 | lane<<24 | shard<<32
-//             | rows<<48 (rows clamped to 16 bits; batches are far
-//             smaller than 65535 rows)
+//   w5 attrs: kind | cls<<8 | flush<<16 | rows<<32
 constexpr int kW5Cls = 8;
 constexpr int kW5Flush = 16;
-constexpr int kW5Lane = 24;
-constexpr int kW5Shard = 32;
-constexpr int kW5Rows = 48;
+constexpr int kW5Rows = 32;
 
 std::uint64_t pack_attrs(const TraceSpan& s) {
-  const std::uint64_t rows =
-      s.rows > 0xffff ? 0xffffu : static_cast<std::uint64_t>(s.rows);
   return static_cast<std::uint64_t>(s.kind) |
          (static_cast<std::uint64_t>(s.cls) << kW5Cls) |
          (static_cast<std::uint64_t>(s.flush) << kW5Flush) |
-         (static_cast<std::uint64_t>(s.lane) << kW5Lane) |
-         (static_cast<std::uint64_t>(s.shard) << kW5Shard) |
-         (rows << kW5Rows);
+         (static_cast<std::uint64_t>(s.rows) << kW5Rows);
 }
 
 void unpack_attrs(std::uint64_t w5, TraceSpan& s) {
   s.kind = static_cast<SpanKind>(w5 & 0xff);
   s.cls = static_cast<std::uint8_t>((w5 >> kW5Cls) & 0xff);
   s.flush = static_cast<std::uint8_t>((w5 >> kW5Flush) & 0xff);
-  s.lane = static_cast<ExecLane>((w5 >> kW5Lane) & 0xff);
-  s.shard = static_cast<std::uint16_t>((w5 >> kW5Shard) & 0xffff);
-  s.rows = static_cast<std::uint32_t>((w5 >> kW5Rows) & 0xffff);
+  s.rows = static_cast<std::uint32_t>(w5 >> kW5Rows);
 }
 
 std::atomic<TraceRecorder*> g_recorder{nullptr};
@@ -67,16 +57,6 @@ const char* to_string(SpanKind kind) {
       return "kv_append";
     case SpanKind::kCount:
       break;
-  }
-  return "?";
-}
-
-const char* to_string(ExecLane lane) {
-  switch (lane) {
-    case ExecLane::kNone:
-      return "-";
-    case ExecLane::kCoalesce:
-      return "coalesce";
   }
   return "?";
 }
@@ -117,18 +97,24 @@ void TraceRecorder::record(const TraceSpan& span) {
   Shard& sh = shard();
   const std::uint64_t ticket = sh.head.fetch_add(1, std::memory_order_relaxed);
   Slot& slot = sh.slots[ticket & (capacity_ - 1)];
-  // Seqlock writer: mark the slot in-progress, fence, publish the
-  // payload with relaxed stores, then release-store the completion
-  // value (even, encodes the ticket so readers can tell generations
-  // apart after wraparound).
+  // Seqlock writer (Boehm, "Can seqlocks get along with programming
+  // language memory models?", MSPC 2012): mark the slot in-progress,
+  // publish the payload, then release-store the completion value (even,
+  // encodes the ticket so readers can tell generations apart after
+  // wraparound). The payload stores are release stores, so the ordering
+  // lives on the atomics themselves, where TSan can check it (it does
+  // not model std::atomic_thread_fence).
+  // Each release keeps the odd in-progress mark ordered before that
+  // word: a reader that acquire-loads any word of this write therefore
+  // happens-after the mark, and its closing seq re-check (snapshot_shard)
+  // cannot read the older even value — the torn slot is rejected.
+  const std::uint64_t words[kWords] = {span.trace_id, span.ts_us,
+                                       span.dur_us,   span.target,
+                                       span.detail,   pack_attrs(span)};
   slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  slot.words[0].store(span.trace_id, std::memory_order_relaxed);
-  slot.words[1].store(span.ts_us, std::memory_order_relaxed);
-  slot.words[2].store(span.dur_us, std::memory_order_relaxed);
-  slot.words[3].store(span.target, std::memory_order_relaxed);
-  slot.words[4].store(span.detail, std::memory_order_relaxed);
-  slot.words[5].store(pack_attrs(span), std::memory_order_relaxed);
+  for (int w = 0; w < kWords; ++w) {
+    slot.words[w].store(words[w], std::memory_order_release);
+  }
   slot.seq.store(2 * ticket + 2, std::memory_order_release);
 }
 
@@ -168,14 +154,19 @@ void TraceRecorder::snapshot_shard(const Shard& shard,
   for (std::uint64_t ticket = begin; ticket < head; ++ticket) {
     const Slot& slot = shard.slots[ticket & (capacity_ - 1)];
     // Seqlock reader: accept the slot only if the completion value for
-    // exactly this ticket is stable across the payload reads.
+    // exactly this ticket is stable across the payload reads. The first
+    // seq load acquires the writer's completion store, so every word of
+    // this ticket is visible (or overwritten by a later ticket). The
+    // acquire payload loads keep the closing seq load after them, and a
+    // payload word from a later writer carries that writer's odd mark
+    // with it (see record()), so the re-check sees seq move on and the
+    // mixed read is dropped.
     const std::uint64_t want = 2 * ticket + 2;
     if (slot.seq.load(std::memory_order_acquire) != want) continue;
     std::uint64_t words[kWords];
     for (int w = 0; w < kWords; ++w) {
-      words[w] = slot.words[w].load(std::memory_order_relaxed);
+      words[w] = slot.words[w].load(std::memory_order_acquire);
     }
-    std::atomic_thread_fence(std::memory_order_acquire);
     if (slot.seq.load(std::memory_order_relaxed) != want) continue;
     TraceSpan span;
     span.trace_id = words[0];
@@ -220,12 +211,11 @@ void append_chrome_events(const std::vector<TraceSpan>& spans,
     } else if (s.cls == 1) {
       cat = "prefill";
     }
-    const unsigned tid = s.shard == 0xffff ? 0u : s.shard;
     std::snprintf(buf, sizeof(buf),
                   "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"X\","
-                  "\"pid\":1,\"tid\":%u,\"ts\":%llu,\"dur\":%llu,"
+                  "\"pid\":1,\"tid\":0,\"ts\":%llu,\"dur\":%llu,"
                   "\"args\":{\"trace_id\":%llu,\"rows\":%u,",
-                  to_string(s.kind), cat, tid,
+                  to_string(s.kind), cat,
                   static_cast<unsigned long long>(s.ts_us),
                   static_cast<unsigned long long>(s.dur_us),
                   static_cast<unsigned long long>(s.trace_id), s.rows);
@@ -254,10 +244,9 @@ void append_chrome_events(const std::vector<TraceSpan>& spans,
       detail_key = "tokens";  // total context tokens attended this batch
     }
     std::snprintf(buf, sizeof(buf),
-                  "\"flush\":\"%s\",\"lane\":\"%s\","
-                  "\"target\":\"0x%llx\",\"%s\":%llu}}",
-                  flush, to_string(s.lane),
-                  static_cast<unsigned long long>(s.target), detail_key,
+                  "\"flush\":\"%s\",\"target\":\"0x%llx\","
+                  "\"%s\":%llu}}",
+                  flush, static_cast<unsigned long long>(s.target), detail_key,
                   static_cast<unsigned long long>(s.detail));
     out += buf;
   }
@@ -312,7 +301,6 @@ void record_window(SpanKind kind, std::uint32_t rows, std::uint64_t detail,
     span.ts_us = now > dur_us ? now - dur_us : 0;
     span.detail = detail;
     span.rows = rows;
-    span.shard = 0xffff;
     recorder->record(span);
   }
 }

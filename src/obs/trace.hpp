@@ -9,9 +9,10 @@
 //
 //   submit -> queue -> gather -> execute -> total
 //
-// each carrying the serving shard, the batch's FlushReason, the execute
-// lane, and the request class; WeightStore repack-on-demand events land
-// as their own spans inside the execute window. Load the dump in chrome://tracing or https://ui.perfetto.dev.
+// each carrying the batch's FlushReason and the request class;
+// WeightStore repack-on-demand events land as their own spans inside the
+// execute window. Load the dump in chrome://tracing or
+// https://ui.perfetto.dev.
 //
 // The capture path mirrors the Telemetry recorder's discipline: a
 // TraceRecorder owns up to kMaxShards per-thread shards (lazily
@@ -23,13 +24,15 @@
 //
 // Slot protocol: spans are published through a per-slot seqlock (odd =
 // write in progress, even = ticket complete) with the payload held in
-// relaxed atomics, so a snapshot racing a wrapping writer skips the
-// torn slot instead of reading garbage. With one shard per recording
-// thread each slot effectively has a single writer; the seqlock guards
-// the reader-vs-writer race that remains.
+// atomics (release stores, acquire loads; see record()), so a snapshot
+// racing a wrapping writer skips the torn slot instead of reading
+// garbage. With one shard per recording thread each slot effectively
+// has a single writer; the seqlock guards the reader-vs-writer race
+// that remains.
 //
 // Sampling: the Server traces 1 request in trace_sample_n. The record
-// cost is a handful of relaxed stores per span, so 1-in-1024 sampling
+// cost is a handful of atomic stores per span (plain moves on x86, where
+// release stores need no fence), so 1-in-1024 sampling
 // is ≈0 overhead on the submit path (gated by the committed
 // trace_overhead bench block).
 #pragma once
@@ -63,17 +66,6 @@ inline constexpr int kNumSpanKinds = static_cast<int>(SpanKind::kCount);
 
 const char* to_string(SpanKind kind);
 
-/// Where the request was executed. Every request is dispatched, and
-/// every batch — one request or many — runs as one pooled execution, so
-/// there is one lane.
-enum class ExecLane : std::uint8_t {
-  kNone = 0,  ///< not an execute-bearing span (or never executed)
-  kCoalesce,  ///< dispatched: one SpMM / ModelPlan::run /
-              ///< DecoderPlan::decode over the whole batch
-};
-
-const char* to_string(ExecLane lane);
-
 /// Attribute value meaning "not applicable" for flush / class bytes.
 inline constexpr std::uint8_t kNoAttr = 0xff;
 
@@ -86,11 +78,9 @@ struct TraceSpan {
   std::uint64_t detail = 0;  ///< kExecute: repack events during the
                              ///< window; kRepack: rebuilt bytes
   std::uint32_t rows = 0;
-  std::uint16_t shard = 0;   ///< serving shard (0xffff = n/a)
   SpanKind kind = SpanKind::kSubmit;
   std::uint8_t cls = kNoAttr;    ///< serve::RequestClass byte
   std::uint8_t flush = kNoAttr;  ///< FlushReason byte of the batch
-  ExecLane lane = ExecLane::kNone;
 };
 
 /// Lock-free multi-writer bounded span recorder (see header comment).
@@ -137,11 +127,11 @@ class TraceRecorder {
 
   /// Write the retained spans as Chrome trace-event JSON
   /// ({"traceEvents": [...]}; chrome://tracing and Perfetto both load
-  /// it). pid 1 is the server; tid is the serving shard.
+  /// it). Every span goes on pid 1, tid 0: the server.
   [[nodiscard]] Status dump_chrome_json(const std::string& path) const;
 
  private:
-  // Payload packed into 6 relaxed-atomic words plus the seqlock word.
+  // Payload packed into 6 atomic words plus the seqlock word.
   static constexpr int kWords = 6;
   struct Slot {
     std::atomic<std::uint64_t> seq{0};  ///< 0 empty; odd writing;

@@ -7,13 +7,11 @@
 // when must the front of the queue flush (row budget reached, the oldest
 // request has waited past the max-wait window, or a pending request's SLO
 // deadline is approaching), and which whole requests fit into the next
-// batch. The queue itself is not thread-safe — since the sharded
-// refactor each queue belongs to exactly one dispatcher shard, whose
-// mutex serializes every access (the shard's dispatcher filling it from
-// the MPSC submission ring and flushing batches; per-target stats
-// queries reading depths). Submitting threads never touch a BatchQueue:
-// they publish onto the shard's lock-free ring instead
-// (serve/mpsc_ring.hpp).
+// batch. The queue itself is not thread-safe — the Server's mutex
+// serializes every access (its dispatcher filling it from the MPSC
+// submission ring and flushing batches; per-target stats queries
+// reading depths). Submitting threads never touch a BatchQueue: they
+// publish onto the lock-free ring instead (serve/mpsc_ring.hpp).
 #pragma once
 
 #include <chrono>

@@ -13,8 +13,10 @@
 // Sites:
 //   kStagingAlloc — dispatcher batch-staging allocation fails (bad_alloc)
 //   kRepackAlloc  — WeightStore repack-on-demand allocation fails
-//   kExecuteDelay — artificial latency injected before a shard executes
-//   kRingFull     — submit() sees the shard ring as full (forced window)
+//   kExecuteDelay — artificial latency injected before the dispatcher
+//                   executes a batch
+//   kRingFull     — submit() sees the submission ring as full (forced
+//                   window)
 //   kDropWake     — a submitter's eventcount notify is dropped
 #pragma once
 

@@ -1,5 +1,5 @@
 // Bounded lock-free MPSC ring — the submission queue between Server
-// submit threads and one shard's dispatcher (serve/server.hpp).
+// submit threads and its dispatcher (serve/server.hpp).
 //
 // Design: Vyukov's bounded queue with per-cell sequence numbers,
 // restricted to a single consumer. Producers claim a slot by CAS on the

@@ -62,18 +62,6 @@ Clock::time_point deadline_from(Clock::time_point submitted,
   return submitted + std::chrono::microseconds(deadline_us);
 }
 
-/// Finalizing mix of MurmurHash3 — spreads pointer identity across all
-/// bits so the shard index uses more than allocator alignment bits.
-std::uint64_t mix_pointer(const void* p) {
-  auto x = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(p));
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
-}
-
 /// FlushReason / RequestClass as the attribute bytes trace spans carry
 /// (obs is layered below serve and defines its own canonical tables).
 std::uint8_t trace_flush_byte(FlushReason reason) {
@@ -179,16 +167,14 @@ void Server::GroupCounters::count_flush(FlushReason reason) {
 }
 
 Server::Server(ServerOptions options)
-    : options_(options), engine_(options.engine) {
+    : options_(options),
+      engine_(options.engine),
+      ring_(options.ring_capacity == 0 ? 1024 : options.ring_capacity),
+      telemetry_(options.telemetry ? std::make_shared<serve::Telemetry>()
+                                   : nullptr) {
   if (options_.max_batch_rows < 1) options_.max_batch_rows = 1;
   if (options_.max_groups < 1) options_.max_groups = 1;
-  if (options_.num_shards == 0) {
-    // Auto: half the hardware threads for dispatch, clamped to [1, 4] —
-    // the engine pool is the bottleneck long before 4 dispatchers are.
-    options_.num_shards =
-        std::clamp(std::thread::hardware_concurrency() / 2, 1u, 4u);
-  }
-  if (options_.ring_capacity == 0) options_.ring_capacity = 1024;
+  options_.ring_capacity = ring_.capacity();
   if (options_.trace_sample_n > 0) {
     tracer_ = std::make_unique<obs::TraceRecorder>(
         obs::TraceRecorder::Options{options_.trace_buffer_spans});
@@ -196,19 +182,7 @@ Server::Server(ServerOptions options)
     // through the process-global hook; last tracing server wins.
     obs::set_global_recorder(tracer_.get());
   }
-  shards_.reserve(options_.num_shards);
-  for (unsigned i = 0; i < options_.num_shards; ++i) {
-    shards_.push_back(
-        std::make_unique<Shard>(options_.ring_capacity, options_.telemetry));
-    shards_.back()->index = static_cast<std::uint16_t>(i);
-  }
-  options_.ring_capacity = shards_.front()->ring.capacity();
-  // Threads start only after every shard exists: a dispatcher never
-  // observes a half-built shard vector.
-  for (auto& shard : shards_) {
-    shard->dispatcher =
-        std::thread([this, s = shard.get()] { dispatcher_loop(*s); });
-  }
+  dispatcher_ = std::thread([this] { dispatcher_loop(); });
 }
 
 Server::~Server() { shutdown(); }
@@ -219,20 +193,12 @@ void Server::shutdown() {
   // server's engine must not record into a recorder about to die.
   if (tracer_ != nullptr) obs::clear_global_recorder(tracer_.get());
   stop_.store(true, std::memory_order_seq_cst);
-  for (auto& shard : shards_) {
-    // Lock-then-notify: a dispatcher between its predicate check and
-    // cv.wait holds the mutex, so acquiring it here guarantees the
-    // notify is not lost.
-    { std::lock_guard lock(shard->mutex); }
-    shard->cv.notify_all();
-  }
-  for (auto& shard : shards_) {
-    if (shard->dispatcher.joinable()) shard->dispatcher.join();
-  }
-}
-
-Server::Shard& Server::shard_of(const void* target) const {
-  return *shards_[mix_pointer(target) % shards_.size()];
+  // Lock-then-notify: a dispatcher between its predicate check and
+  // cv_.wait holds the mutex, so acquiring it here guarantees the notify
+  // is not lost.
+  { std::lock_guard lock(mutex_); }
+  cv_.notify_all();
+  if (dispatcher_.joinable()) dispatcher_.join();
 }
 
 std::future<Status> Server::submit(ConstViewF A,
@@ -332,7 +298,6 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
                                     std::uint64_t deadline_us,
                                     Clock::time_point submitted,
                                     std::uint64_t seq_id) {
-  Shard& shard = shard_of(target.id());
   if (stop_.load(std::memory_order_seq_cst)) {
     return ready(Status::Unavailable("server is shut down"));
   }
@@ -355,7 +320,7 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
   // Admission control. A request is sheddable when the policy says so
   // for its class; a sheddable request is refused with RESOURCE_EXHAUSTED
   // instead of ever blocking (ring full, or admitting it would push the
-  // shard's pending work past a high-water mark). kShedByClass protects
+  // server's pending work past a high-water mark). kShedByClass protects
   // the 1-row decode stream: decode follows the kBlock path.
   const auto rows = static_cast<std::uint64_t>(A.rows());
   const std::size_t bytes = staging_bytes(A.rows(), A.cols(), C.cols());
@@ -363,24 +328,23 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
       options_.admission == AdmissionPolicy::kShed ||
       (options_.admission == AdmissionPolicy::kShedByClass && A.rows() > 1);
   auto count_shed = [&] {
-    shard.shed_requests.fetch_add(1, std::memory_order_relaxed);
-    shard.shed_bytes.fetch_add(bytes, std::memory_order_relaxed);
+    shed_requests_.fetch_add(1, std::memory_order_relaxed);
+    shed_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   };
   if (sheddable) {
     const bool over_rows =
         options_.shed_pending_rows != 0 &&
-        shard.pending_rows.load(std::memory_order_relaxed) + rows >
+        pending_rows_.load(std::memory_order_relaxed) + rows >
             options_.shed_pending_rows;
     const bool over_bytes =
         options_.shed_pending_bytes != 0 &&
-        shard.pending_bytes.load(std::memory_order_relaxed) + bytes >
+        pending_bytes_.load(std::memory_order_relaxed) + bytes >
             options_.shed_pending_bytes;
     if (over_rows || over_bytes) {
       count_shed();
       request.done.set_value(Status::ResourceExhausted(
-          over_rows ? "request shed: shard pending rows over high-water mark"
-                    : "request shed: shard pending bytes over high-water "
-                      "mark"));
+          over_rows ? "request shed: pending rows over high-water mark"
+                    : "request shed: pending bytes over high-water mark"));
       return result;
     }
   }
@@ -392,28 +356,28 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
   // after it — in which case seq_cst ordering forces this stop_ load to
   // see the store that preceded that read, and the submitter fails fast
   // without publishing.
-  shard.entrants.fetch_add(1, std::memory_order_seq_cst);
+  entrants_.fetch_add(1, std::memory_order_seq_cst);
   if (stop_.load(std::memory_order_seq_cst)) {
-    shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
+    entrants_.fetch_sub(1, std::memory_order_seq_cst);
     request.done.set_value(Status::Unavailable("server is shut down"));
     return result;
   }
-  shard.pending_rows.fetch_add(rows, std::memory_order_relaxed);
-  shard.pending_bytes.fetch_add(bytes, std::memory_order_relaxed);
+  pending_rows_.fetch_add(rows, std::memory_order_relaxed);
+  pending_bytes_.fetch_add(bytes, std::memory_order_relaxed);
   request.enqueued = Clock::now();
   SubmitMsg msg{std::move(target), std::move(request)};
   // Undo the publish-protocol counters on any abort below (the request
   // never reaches the ring, so nothing downstream will release them).
   auto release = [&] {
-    shard.pending_rows.fetch_sub(rows, std::memory_order_relaxed);
-    shard.pending_bytes.fetch_sub(bytes, std::memory_order_relaxed);
-    shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
+    pending_rows_.fetch_sub(rows, std::memory_order_relaxed);
+    pending_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+    entrants_.fetch_sub(1, std::memory_order_seq_cst);
   };
   bool stalled = false;
   unsigned spins = 0;
   for (;;) {
     const bool forced_full = NMSPMM_FAULT_FIRE(kRingFull);
-    if (!forced_full && shard.ring.try_push(msg)) break;
+    if (!forced_full && ring_.try_push(msg)) break;
     // Ring full ⇒ the dispatcher is awake and draining (it only sleeps
     // with an empty ring). A sheddable request fails fast; a blocking
     // one backs off until a slot frees, its own deadline expires, or
@@ -428,7 +392,7 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
     // Counted once per stalled request, not per retry.
     if (!stalled) {
       stalled = true;
-      shard.ring_stalls.fetch_add(1, std::memory_order_relaxed);
+      ring_stalls_.fetch_add(1, std::memory_order_relaxed);
     }
     if (stop_.load(std::memory_order_seq_cst)) {
       release();
@@ -440,7 +404,7 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
       // The submitter's own SLO ran out while stalled: spinning past it
       // only adds more load at the worst possible moment.
       release();
-      shard.submit_deadline_fails.fetch_add(1, std::memory_order_relaxed);
+      submit_deadline_fails_.fetch_add(1, std::memory_order_relaxed);
       msg.request.done.set_value(Status::DeadlineExceeded(
           "deadline expired while stalled on a full submission ring"));
       return result;
@@ -454,64 +418,62 @@ std::future<Status> Server::enqueue(Target target, ConstViewF A, ViewF C,
   // Eventcount publish: the counter RMW plus the sleeping load are both
   // seq_cst, pairing with the dispatcher's {sleeping = true; load
   // pushed} — one side always sees the other (no lost wakeup).
-  shard.pushed.fetch_add(1, std::memory_order_seq_cst);
-  if (shard.sleeping.load(std::memory_order_seq_cst)) {
+  pushed_.fetch_add(1, std::memory_order_seq_cst);
+  if (sleeping_.load(std::memory_order_seq_cst)) {
     if (!NMSPMM_FAULT_FIRE(kDropWake)) {
-      { std::lock_guard lock(shard.mutex); }
-      shard.cv.notify_all();
+      { std::lock_guard lock(mutex_); }
+      cv_.notify_all();
     }
   }
-  shard.entrants.fetch_sub(1, std::memory_order_seq_cst);
+  entrants_.fetch_sub(1, std::memory_order_seq_cst);
   return result;
 }
 
-std::shared_ptr<Server::Group> Server::group_for(Shard& shard,
-                                                 Target target) {
+std::shared_ptr<Server::Group> Server::group_for(Target target) {
   std::shared_ptr<Group>& slot =
-      shard.groups[GroupKey{target.id(), target.options}];
+      groups_[GroupKey{target.id(), target.options}];
   if (slot == nullptr) {
     slot = std::make_shared<Group>();
     slot->target = std::move(target);
     if (options_.telemetry) {
       slot->telemetry = std::make_shared<serve::Telemetry>();
     }
-    shard.groups_seen.fetch_add(1, std::memory_order_relaxed);
+    groups_seen_.fetch_add(1, std::memory_order_relaxed);
   }
   return slot;
 }
 
-std::size_t Server::drain_ring(Shard& shard, std::uint64_t& drained,
+std::size_t Server::drain_ring(std::uint64_t& drained,
                                std::vector<SubmitMsg>& scratch) {
   scratch.clear();
   SubmitMsg msg;
-  while (shard.ring.try_pop(msg)) scratch.push_back(std::move(msg));
+  while (ring_.try_pop(msg)) scratch.push_back(std::move(msg));
   if (scratch.empty()) return 0;
   drained += scratch.size();
-  std::lock_guard lock(shard.mutex);
+  std::lock_guard lock(mutex_);
   for (SubmitMsg& m : scratch) {
-    const std::shared_ptr<Group> group = group_for(shard, std::move(m.target));
+    const std::shared_ptr<Group> group = group_for(std::move(m.target));
     Group& g = *group;
     const auto rows = static_cast<std::uint64_t>(m.request.a.rows());
     g.counters.requests.fetch_add(1, std::memory_order_relaxed);
     g.counters.rows.fetch_add(rows, std::memory_order_relaxed);
-    shard.totals.requests.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.rows.fetch_add(rows, std::memory_order_relaxed);
+    totals_.requests.fetch_add(1, std::memory_order_relaxed);
+    totals_.rows.fetch_add(rows, std::memory_order_relaxed);
     g.queue.push(std::move(m.request));
     atomic_max(g.counters.max_queue_depth, g.queue.max_depth_seen());
-    atomic_max(shard.totals.max_queue_depth, g.queue.max_depth_seen());
+    atomic_max(totals_.max_queue_depth, g.queue.max_depth_seen());
   }
   const std::size_t popped = scratch.size();
   scratch.clear();
-  prune_idle_groups(shard);  // bounded retention even under group churn
+  prune_idle_groups();  // bounded retention even under group churn
   return popped;
 }
 
-Server::PendingBatch Server::next_batch(Shard& shard,
-                                        Clock::time_point now) {
+Server::PendingBatch Server::next_batch(Clock::time_point now) {
   PendingBatch batch;
   const std::chrono::microseconds wait(options_.max_wait_us);
   const std::chrono::microseconds margin(options_.slo_margin_us);
-  std::lock_guard lock(shard.mutex);
+  std::lock_guard lock(mutex_);
   const bool draining = stop_.load(std::memory_order_relaxed);
   // Among ready groups, serve the one whose front request is oldest —
   // sustained row-budget traffic on one group must not starve another
@@ -520,7 +482,7 @@ Server::PendingBatch Server::next_batch(Shard& shard,
     return std::min(options_.max_batch_rows, group.target.max_rows);
   };
   const std::shared_ptr<Group>* pick = nullptr;
-  for (auto& [key, group] : shard.groups) {
+  for (auto& [key, group] : groups_) {
     BatchQueue& queue = group->queue;
     if (queue.empty()) continue;
     if (!draining && !queue.ready(now, row_budget(*group), wait,
@@ -549,54 +511,53 @@ Server::PendingBatch Server::next_batch(Shard& shard,
   for (const BatchRequest& r : batch.requests) batch.rows += r.a.rows();
   g.counters.batches.fetch_add(1, std::memory_order_relaxed);
   g.counters.count_flush(reason);
-  shard.totals.batches.fetch_add(1, std::memory_order_relaxed);
-  shard.totals.count_flush(reason);
+  totals_.batches.fetch_add(1, std::memory_order_relaxed);
+  totals_.count_flush(reason);
   return batch;
 }
 
-void Server::prune_idle_groups(Shard& shard, const Group* keep) {
-  if (shard.groups.size() <= options_.max_groups) return;
-  for (auto it = shard.groups.begin();
-       it != shard.groups.end() &&
-       shard.groups.size() > options_.max_groups;) {
+void Server::prune_idle_groups() {
+  if (groups_.size() <= options_.max_groups) return;
+  for (auto it = groups_.begin();
+       it != groups_.end() && groups_.size() > options_.max_groups;) {
     // Idle = empty queue. A group whose batch is mid-flight on the
     // dispatcher may be evicted safely: the PendingBatch holds shared
     // ownership of the Group (and its weights / plan / telemetry), and
-    // shard totals already carry every counter. An evicted group that
+    // server totals already carry every counter. An evicted group that
     // comes back starts fresh.
-    if (it->second.get() != keep && it->second->queue.empty()) {
-      it = shard.groups.erase(it);
+    if (it->second->queue.empty()) {
+      it = groups_.erase(it);
     } else {
       ++it;
     }
   }
 }
 
-void Server::prune_staging(Shard& shard, StagingMap& staging) {
+void Server::prune_staging(StagingMap& staging) {
   // Staging buffers are keyed per batch target; release those no live
   // group references any more.
   std::unordered_set<const void*> alive;
-  for (const auto& [key, group] : shard.groups) alive.insert(key.target);
+  for (const auto& [key, group] : groups_) alive.insert(key.target);
   for (auto it = staging.begin(); it != staging.end();) {
     it = alive.count(it->first) != 0 ? std::next(it) : staging.erase(it);
   }
 }
 
-void Server::complete(Shard& shard, Group& g, BatchRequest& r,
-                      const Execution& x, const Status& status) {
+void Server::complete(Group& g, BatchRequest& r, const Execution& x,
+                      const Status& status) {
   // Record before resolving the future: a caller that joins on its
   // future and then reads stats() must see its own sample.
   const auto resolved = Clock::now();
   const auto cls = serve::classify_rows(r.a.rows());
   if (r.has_deadline() && resolved > r.deadline) {
     g.counters.slo_violations.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.slo_violations.fetch_add(1, std::memory_order_relaxed);
+    totals_.slo_violations.fetch_add(1, std::memory_order_relaxed);
     if (g.telemetry != nullptr) g.telemetry->count_violation(cls);
-    if (shard.telemetry != nullptr) shard.telemetry->count_violation(cls);
+    if (telemetry_ != nullptr) telemetry_->count_violation(cls);
   }
   if (!status.ok()) {
     g.counters.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.totals.errors.fetch_add(1, std::memory_order_relaxed);
+    totals_.errors.fetch_add(1, std::memory_order_relaxed);
   }
 
   const bool traced = r.trace_id != 0 && tracer_ != nullptr;
@@ -605,15 +566,14 @@ void Server::complete(Shard& shard, Group& g, BatchRequest& r,
   span.target = static_cast<std::uint64_t>(
       reinterpret_cast<std::uintptr_t>(g.target.id()));
   span.rows = static_cast<std::uint32_t>(r.a.rows());
-  span.shard = shard.index;
   span.cls = trace_cls_byte(cls);
   auto record = [&](serve::Stage stage, Clock::time_point from,
                     Clock::time_point to) {
-    // Group and shard recorders both take every sample: the shard's
+    // Group and server recorders both take every sample: the server's
     // survives group eviction, the group's serves per-target queries.
     const std::uint64_t us = elapsed_us(from, to);
     if (g.telemetry != nullptr) g.telemetry->record(cls, stage, us);
-    if (shard.telemetry != nullptr) shard.telemetry->record(cls, stage, us);
+    if (telemetry_ != nullptr) telemetry_->record(cls, stage, us);
     if (!traced) return;
     span.kind = static_cast<obs::SpanKind>(stage);
     span.ts_us = tracer_->to_us(from);
@@ -632,12 +592,10 @@ void Server::complete(Shard& shard, Group& g, BatchRequest& r,
     // A request's submit stage ended before it joined a batch, so that
     // span carries no batch attributes.
     const bool batch_attrs = stage != serve::Stage::kSubmit;
-    span.lane = batch_attrs ? x.lane : obs::ExecLane::kNone;
     span.flush = batch_attrs ? x.flush : obs::kNoAttr;
     span.detail = stage == serve::Stage::kExecute ? x.repacks : 0;
     record(stage, at[s], at[s + 1]);
   }
-  span.lane = x.lane;
   span.flush = x.flush;
   span.detail = 0;
   record(serve::Stage::kTotal, r.submitted, resolved);
@@ -645,21 +603,19 @@ void Server::complete(Shard& shard, Group& g, BatchRequest& r,
   // Release the admission gauges before fulfilling the promise: a
   // caller that joins and submits again must not find its own finished
   // request still counted against the high-water marks.
-  shard.pending_rows.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
+  pending_rows_.fetch_sub(static_cast<std::uint64_t>(r.a.rows()),
                                std::memory_order_relaxed);
-  shard.pending_bytes.fetch_sub(
+  pending_bytes_.fetch_sub(
       staging_bytes(r.a.rows(), r.a.cols(), r.c.cols()),
       std::memory_order_relaxed);
   r.done.set_value(status);
 }
 
-Status Server::serve_batch(Shard& shard, PendingBatch& batch,
-                           StagingMap& staging) {
+Status Server::serve_batch(PendingBatch& batch, StagingMap& staging) {
   Group& g = *batch.group;
   const Target& target = g.target;
-  // Chaos hook: per-shard artificial execute latency (no-op by default).
+  // Chaos hook: artificial execute latency (no-op by default).
   NMSPMM_FAULT_EXECUTE_DELAY();
-  batch.exec.lane = obs::ExecLane::kCoalesce;
 
   // A lone request needs no gather/scatter: its own views go straight
   // to the target (same plan caches, zero copies). A batch of several
@@ -735,31 +691,30 @@ Status Server::serve_batch(Shard& shard, PendingBatch& batch,
     }
     if (worst.ok()) worst = rs;
     row += r.a.rows();
-    complete(shard, g, r, batch.exec, rs);
+    complete(g, r, batch.exec, rs);
     ++batch.resolved;
   }
   return worst;
 }
 
-void Server::fail_batch(Shard& shard, PendingBatch& batch,
-                        const Status& status) {
+void Server::fail_batch(PendingBatch& batch, const Status& status) {
   for (std::size_t i = batch.resolved; i < batch.requests.size(); ++i) {
-    complete(shard, *batch.group, batch.requests[i], batch.exec, status);
+    complete(*batch.group, batch.requests[i], batch.exec, status);
   }
 }
 
-void Server::dispatcher_loop(Shard& shard) {
+void Server::dispatcher_loop() {
   // Staging buffers live on this dispatcher's stack: only this thread
-  // gathers/scatters for its shard, so they need no locking and are
+  // gathers/scatters, so they need no locking and are
   // reused batch after batch (no per-batch allocation once warm).
   StagingMap staging;
   std::vector<SubmitMsg> scratch;
   // Eventcount position: messages this dispatcher has popped. Compared
-  // against shard.pushed to decide whether sleeping is safe.
+  // against pushed_ to decide whether sleeping is safe.
   std::uint64_t drained = 0;
   for (;;) {
-    drain_ring(shard, drained, scratch);
-    PendingBatch batch = next_batch(shard, Clock::now());
+    drain_ring(drained, scratch);
+    PendingBatch batch = next_batch(Clock::now());
     if (batch.group != nullptr) {
       // Drain fast-fail: once shutdown() is in flight, a request whose
       // deadline already expired can never be served within its SLO —
@@ -772,7 +727,7 @@ void Server::dispatcher_loop(Shard& shard) {
         live.reserve(batch.requests.size());
         for (BatchRequest& r : batch.requests) {
           if (r.has_deadline() && now > r.deadline) {
-            complete(shard, *batch.group, r, batch.exec,
+            complete(*batch.group, r, batch.exec,
                      Status::DeadlineExceeded("deadline expired before the "
                                               "drain reached the request"));
           } else {
@@ -795,18 +750,18 @@ void Server::dispatcher_loop(Shard& shard) {
       try {
         // Per-request error accounting happens inside complete(); the
         // returned worst status is only of interest to tests.
-        static_cast<void>(serve_batch(shard, batch, staging));
+        static_cast<void>(serve_batch(batch, staging));
       } catch (const std::bad_alloc& e) {
-        fail_batch(shard, batch, Status::ResourceExhausted(e.what()));
+        fail_batch(batch, Status::ResourceExhausted(e.what()));
         flight_dump();
       } catch (const std::exception& e) {
-        fail_batch(shard, batch, Status::Internal(e.what()));
+        fail_batch(batch, Status::Internal(e.what()));
         flight_dump();
       }
       {
-        std::lock_guard lock(shard.mutex);
-        prune_idle_groups(shard);
-        prune_staging(shard, staging);
+        std::lock_guard lock(mutex_);
+        prune_idle_groups();
+        prune_staging(staging);
       }
       continue;  // more groups may be ready; drain before sleeping
     }
@@ -814,14 +769,14 @@ void Server::dispatcher_loop(Shard& shard) {
     // Nothing ready. Shutdown drain exit: with stop_ set and no
     // submitter inside the publish protocol, no new message can ever
     // arrive (see enqueue()); once the ring and every queue are empty
-    // the shard is fully drained.
+    // the server is fully drained.
     if (stop_.load(std::memory_order_seq_cst) &&
-        shard.entrants.load(std::memory_order_seq_cst) == 0) {
-      drain_ring(shard, drained, scratch);
-      if (shard.ring.empty()) {
-        std::lock_guard lock(shard.mutex);
+        entrants_.load(std::memory_order_seq_cst) == 0) {
+      drain_ring(drained, scratch);
+      if (ring_.empty()) {
+        std::lock_guard lock(mutex_);
         bool pending = false;
-        for (const auto& [key, group] : shard.groups) {
+        for (const auto& [key, group] : groups_) {
           if (!group->queue.empty()) {
             pending = true;
             break;
@@ -835,8 +790,8 @@ void Server::dispatcher_loop(Shard& shard) {
     // Sleep until new work (eventcount), a queue deadline, or shutdown.
     auto earliest = Clock::time_point::max();
     bool any_pending = false;
-    std::unique_lock lock(shard.mutex);
-    for (const auto& [key, group] : shard.groups) {
+    std::unique_lock lock(mutex_);
+    for (const auto& [key, group] : groups_) {
       if (group->queue.empty()) continue;
       any_pending = true;
       earliest = std::min(
@@ -849,19 +804,19 @@ void Server::dispatcher_loop(Shard& shard) {
                           options_.slo_margin_us)));
       }
     }
-    shard.sleeping.store(true, std::memory_order_seq_cst);
-    const auto pred = [&shard, &drained, this] {
-      return shard.pushed.load(std::memory_order_seq_cst) != drained ||
+    sleeping_.store(true, std::memory_order_seq_cst);
+    const auto pred = [&drained, this] {
+      return pushed_.load(std::memory_order_seq_cst) != drained ||
              stop_.load(std::memory_order_seq_cst);
     };
     if (!pred()) {
       if (any_pending) {
-        shard.cv.wait_until(lock, earliest, pred);
+        cv_.wait_until(lock, earliest, pred);
       } else {
-        shard.cv.wait(lock, pred);
+        cv_.wait(lock, pred);
       }
     }
-    shard.sleeping.store(false, std::memory_order_relaxed);
+    sleeping_.store(false, std::memory_order_relaxed);
   }
 }
 
@@ -882,50 +837,29 @@ void Server::flight_dump() const {
 
 Server::Stats Server::stats() const {
   Stats stats;
-  stats.shards = shards_.size();
-  stats.per_shard.reserve(shards_.size());
   if (tracer_ != nullptr) {
     stats.trace_spans = tracer_->recorded();
     stats.trace_drops = tracer_->drops();
   }
-  for (const auto& shard : shards_) {
-    stats.per_shard.push_back(shard->totals.snapshot());
-    accumulate(stats.totals, stats.per_shard.back());
-    stats.groups += shard->groups_seen.load(std::memory_order_relaxed);
-    stats.ring_stalls +=
-        shard->ring_stalls.load(std::memory_order_relaxed);
-    stats.shed_requests +=
-        shard->shed_requests.load(std::memory_order_relaxed);
-    stats.shed_bytes += shard->shed_bytes.load(std::memory_order_relaxed);
-    stats.submit_deadline_fails +=
-        shard->submit_deadline_fails.load(std::memory_order_relaxed);
-    if (shard->telemetry != nullptr) {
-      stats.latency.merge(shard->telemetry->snapshot());
-    }
-  }
+  stats.totals = totals_.snapshot();
+  stats.per_shard.push_back(stats.totals);
+  stats.groups = groups_seen_.load(std::memory_order_relaxed);
+  stats.ring_stalls = ring_stalls_.load(std::memory_order_relaxed);
+  stats.shed_requests = shed_requests_.load(std::memory_order_relaxed);
+  stats.shed_bytes = shed_bytes_.load(std::memory_order_relaxed);
+  stats.submit_deadline_fails =
+      submit_deadline_fails_.load(std::memory_order_relaxed);
+  if (telemetry_ != nullptr) stats.latency = telemetry_->snapshot();
   return stats;
 }
 
 Server::GroupStats Server::target_stats(const void* target) const {
-  Shard& shard = shard_of(target);
-  std::lock_guard lock(shard.mutex);
+  std::lock_guard lock(mutex_);
   GroupStats stats;
-  for (const auto& [key, group] : shard.groups) {
+  for (const auto& [key, group] : groups_) {
     if (key.target == target) accumulate(stats, group->counters.snapshot());
   }
   return stats;
-}
-
-serve::TelemetrySnapshot Server::target_latency(const void* target) const {
-  Shard& shard = shard_of(target);
-  std::lock_guard lock(shard.mutex);
-  serve::TelemetrySnapshot snap;
-  for (const auto& [key, group] : shard.groups) {
-    if (key.target == target && group->telemetry != nullptr) {
-      snap.merge(group->telemetry->snapshot());
-    }
-  }
-  return snap;
 }
 
 Server::GroupStats Server::weights_stats(const CompressedNM* weights) const {
@@ -943,17 +877,14 @@ Server::GroupStats Server::decode_stats(
 
 serve::TelemetrySnapshot Server::weights_latency(
     const CompressedNM* weights) const {
-  return target_latency(weights);
-}
-
-serve::TelemetrySnapshot Server::model_latency(
-    const model::ModelPlan* plan) const {
-  return target_latency(plan);
-}
-
-serve::TelemetrySnapshot Server::decode_latency(
-    const model::DecoderPlan* plan) const {
-  return target_latency(plan);
+  std::lock_guard lock(mutex_);
+  serve::TelemetrySnapshot snap;
+  for (const auto& [key, group] : groups_) {
+    if (key.target == weights && group->telemetry != nullptr) {
+      snap.merge(group->telemetry->snapshot());
+    }
+  }
+  return snap;
 }
 
 }  // namespace nmspmm

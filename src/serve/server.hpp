@@ -1,5 +1,5 @@
-// nmspmm::Server — asynchronous request front end with dynamic batching,
-// sharded for multi-core submission and execution.
+// nmspmm::Server — asynchronous request front end with dynamic batching
+// behind a lock-free submission ring.
 //
 // Real inference traffic arrives as a stream of small, unaligned requests
 // (decode steps are often a single activation row), not pre-formed
@@ -14,26 +14,23 @@
 //   auto f2 = server.submit(a2.view(), weights, c2.view());
 //   f1.get().check_ok();                          // both served by ONE SpMM
 //
-// Architecture (sharded since the lock-free-submit refactor):
+// Architecture:
 //
-//   submit threads                dispatcher shards              engine
-//   ──────────────                ─────────────────              ──────
-//   submit()  ──┐   lock-free   ┌────────────────────┐
-//   submit()  ──┼─► MPSC ring ─►│ shard 0: group map, │──┐
-//   submit()  ──┘               │ staging, SLO flush  │  │  one pooled
-//                               └────────────────────┘  ├─► execution
-//   submit()  ──┐               ┌────────────────────┐  │  per batch
-//   submit()  ──┼─► MPSC ring ─►│ shard 1:   …        │──┘
-//   submit()  ──┘               └────────────────────┘
+//   submit threads                dispatcher                     engine
+//   ──────────────                ──────────                     ──────
+//   submit()  ──┐   lock-free   ┌─────────────────────┐  one pooled
+//   submit()  ──┼─► MPSC ring ─►│ group map, staging, │──► execution
+//   submit()  ──┘               │ SLO flush           │    per batch
+//                               └─────────────────────┘
 //
-// Each shard owns a bounded lock-free MPSC ring (serve/mpsc_ring.hpp),
-// a dispatcher thread, and its own group map / staging / flush state.
-// Groups hash to shards by weights identity, so every request against
-// one weight matrix (or model plan) lands on the same shard and keeps
-// coalescing exactly as in the single-dispatcher design. The hot submit
-// path is lock-free: validate, claim a ring slot (one CAS), publish,
-// return — a mutex is taken only to wake a sleeping dispatcher (idle by
-// definition, so never contended).
+// One bounded lock-free MPSC ring (serve/mpsc_ring.hpp) feeds one
+// dispatcher thread, which owns the group map, the staging buffers and
+// the flush state. Every target — every weight matrix, model plan and
+// decoder plan — is served by that dispatcher, so requests against one
+// target always meet in one queue. The hot submit path is lock-free:
+// validate, claim a ring slot (one CAS), publish, return — a mutex is
+// taken only to wake a sleeping dispatcher (idle by definition, so
+// never contended).
 //
 // The dispatcher drains its ring into per-group FIFO queues, flushes a
 // group when its pending rows reach its row budget, its oldest request
@@ -55,8 +52,9 @@
 // (submit_decode). Concurrent 1-row token submissions against one
 // DecoderPlan gather into a single DecoderPlan::decode — the QKV /
 // output / FFN projections run batched, attention runs per sequence
-// between them (its heads split across the engine pool), and each request resolves with its own per-sequence
-// status (NOT_FOUND for an unknown sequence, retryable
+// between them (its heads split across the engine pool), and each
+// request resolves with its own per-sequence status (NOT_FOUND for an
+// unknown sequence, retryable
 // RESOURCE_EXHAUSTED when the KV budget is spent), so one bad sequence
 // never fails its batchmates. Every request, however it was served or
 // failed, resolves through one completion step that records its stage
@@ -71,11 +69,11 @@
 // serving later batches.
 //
 // Overload behavior is a policy (ServerOptions::admission):
-//  - kBlock (default): a full shard ring back-pressures submit() with a
+//  - kBlock (default): a full ring back-pressures submit() with a
 //    bounded spin — bounded by the request's own deadline_us, so a
 //    submitter never stalls past its SLO (DEADLINE_EXCEEDED instead).
 //  - kShed: fail fast with RESOURCE_EXHAUSTED when the ring is full or
-//    the shard's pending work exceeds the shed_pending_rows /
+//    the server's pending work exceeds the shed_pending_rows /
 //    shed_pending_bytes high-water marks. Shed requests never entered
 //    the queue; the caller may retry (serve::RetryPolicy).
 //  - kShedByClass: shed prefill (multi-row) like kShed, but let 1-row
@@ -86,7 +84,7 @@
 // Shape errors are rejected per request (an immediately-ready error
 // future) so one malformed submission can never poison a batch. Shutdown
 // drains: every request accepted before shutdown() is served, then the
-// dispatchers exit; submissions after shutdown fail with UNAVAILABLE
+// dispatcher exits; submissions after shutdown fail with UNAVAILABLE
 // (retryable — e.g. against a replacement server; before the overload
 // work this surfaced as FAILED_PRECONDITION). Prefer raw Engine::spmm
 // when requests are already large batches — batching adds a
@@ -118,7 +116,7 @@
 
 namespace nmspmm {
 
-/// What submit() does when a shard cannot take the request right now
+/// What submit() does when the server cannot take the request right now
 /// (ring full, or pending work past a high-water mark). See the header
 /// comment's "Overload behavior".
 enum class AdmissionPolicy : std::uint8_t {
@@ -136,12 +134,12 @@ struct ServerOptions {
   /// 0 = flush continuously (batches only what accumulates while the
   /// dispatcher is busy executing).
   std::uint32_t max_wait_us = 200;
-  /// Upper bound on retained per-shard group state. When a shard holds
-  /// more distinct (weights, options) groups than this, idle groups
+  /// Upper bound on retained group state. When the dispatcher holds
+  /// more distinct (target, options) groups than this, idle groups
   /// (empty queues) are evicted: their weights reference and staging
   /// buffers are released — a server cycling through many weight
   /// matrices stays bounded. Counters and latency history survive in
-  /// the shard totals; an evicted group that comes back starts fresh.
+  /// the server totals; an evicted group that comes back starts fresh.
   std::size_t max_groups = 64;
   /// Cap on a dispatcher's gather/scatter staging for one batch, in
   /// bytes (0 = unbounded). A batch needing more fails with
@@ -150,9 +148,9 @@ struct ServerOptions {
   std::size_t max_staging_bytes = 0;
   /// Overload behavior of submit() — see AdmissionPolicy.
   AdmissionPolicy admission = AdmissionPolicy::kBlock;
-  /// Shedding high-water marks, per shard (0 = that mark is off; both
-  /// ignored under kBlock). A sheddable request is refused with
-  /// RESOURCE_EXHAUSTED when admitting it would push the shard's
+  /// Shedding high-water marks (0 = that mark is off; both ignored
+  /// under kBlock). A sheddable request is refused with
+  /// RESOURCE_EXHAUSTED when admitting it would push the server's
   /// pending (admitted, unresolved) rows / staged bytes past the mark.
   /// Bytes are the request's gather+scatter staging footprint,
   /// rows*(k+n)*sizeof(float) — the same quantity max_staging_bytes
@@ -177,14 +175,7 @@ struct ServerOptions {
   /// against a telemetry-free baseline, not because it is expected to
   /// matter.
   bool telemetry = true;
-  /// Dispatcher shards. 0 = auto: half the hardware threads, clamped to
-  /// [1, 4] — submission rarely needs more dispatchers than that before
-  /// the engine pool is the bottleneck. Groups hash to shards by
-  /// weights identity, so shards beyond the number of distinct weight
-  /// matrices served go unused. 1 reproduces the single-dispatcher
-  /// behavior (still with the lock-free submit ring).
-  unsigned num_shards = 0;
-  /// Per-shard submission ring capacity in requests (rounded up to a
+  /// Submission ring capacity in requests (rounded up to a
   /// power of two; 0 = default 1024). A full ring back-pressures
   /// submitters: submit() spins with backoff until the dispatcher
   /// drains a slot, counting the stall in stats().ring_stalls.
@@ -192,8 +183,8 @@ struct ServerOptions {
   /// Span tracing (src/obs/trace.hpp): trace 1 request in every
   /// trace_sample_n (0 = tracing off; 1 = every request). A traced
   /// request leaves one span per life-cycle stage — submit, queue,
-  /// gather, execute, total — carrying shard / flush-reason / execute-
-  /// lane / repack attributes, retrievable via dump_trace(). The record
+  /// gather, execute, total — carrying flush-reason and repack
+  /// attributes, retrievable via dump_trace(). The record
   /// cost is a handful of relaxed stores, so 1-in-1024 sampling is ≈0
   /// on the submit path (gated by the trace_overhead bench block).
   std::uint64_t trace_sample_n = 0;
@@ -226,8 +217,8 @@ class Server {
   /// PrologueSpec (epilogue operands and the RMSNorm gain cannot ride a
   /// batched submission; use submit_ffn for the fused-FFN workload).
   ///
-  /// Lock-free: after validation the request is published onto its
-  /// shard's MPSC ring with a single CAS — no mutex is ever taken on
+  /// Lock-free: after validation the request is published onto the
+  /// MPSC ring with a single CAS — no mutex is ever taken on
   /// this path while the dispatcher is awake.
   ///
   /// @p deadline_us (0 = none) is the request's SLO budget from this call:
@@ -271,7 +262,7 @@ class Server {
                                     ViewF out, std::uint64_t deadline_us = 0);
 
   /// Stop accepting requests, serve everything already queued, and join
-  /// every shard dispatcher. Idempotent; the destructor calls it.
+  /// the dispatcher. Idempotent; the destructor calls it.
   void shutdown();
 
   /// Per-group (and aggregate) serving counters.
@@ -287,17 +278,16 @@ class Server {
     /// Always 0: every batch runs as one pooled execution. Kept only
     /// because perfbench still reads it (serve.split_share).
     std::uint64_t split_batches = 0;
-    /// Always 0: every request is served through its shard's queue.
+    /// Always 0: every request is served through the dispatcher's queue.
     /// Kept only because perfbench still reads it (serve.bypass_share).
     std::uint64_t bypassed = 0;
     std::size_t max_queue_depth = 0;    ///< peak pending requests
   };
   struct Stats {
     GroupStats totals;  ///< every request ever accepted, incl. evicted
-                        ///< groups (per-shard counters, exact)
+                        ///< groups (server-wide counters, exact)
     std::size_t groups = 0;  ///< distinct (target, options) groups seen
-    std::size_t shards = 0;  ///< dispatcher shards (resolved num_shards)
-    /// Times a submit found its shard's ring full and had to back off
+    /// Times a submit found the ring full and had to back off
     /// before claiming a slot (one per stalled request, not per retry).
     std::uint64_t ring_stalls = 0;
     /// Requests refused with RESOURCE_EXHAUSTED by the admission policy
@@ -316,18 +306,17 @@ class Server {
     /// shorter than the traffic between dumps.
     std::uint64_t trace_spans = 0;
     std::uint64_t trace_drops = 0;
-    /// Per-dispatcher-shard counters, indexed by shard (the tid of the
-    /// trace dump); totals above is their exact aggregate.
+    /// One element, equal to totals. Kept only because perfbench reads
+    /// it (`served_by`).
     std::vector<GroupStats> per_shard;
   };
-  /// Aggregate counters and latency across all shards. Lock-free: reads
-  /// per-shard atomic counters and merges per-shard telemetry snapshots
-  /// (additive histograms — per-class percentiles stay exact), so stats
-  /// polling can never stall a submitter or dispatcher.
+  /// Aggregate counters and latency. Lock-free: reads atomic counters
+  /// and the telemetry recorder's snapshot, so stats polling can never
+  /// stall a submitter or the dispatcher.
   [[nodiscard]] Stats stats() const;
   /// Aggregate over every *live* group serving @p weights (any options);
   /// counters of groups already evicted under max_groups only survive in
-  /// stats().totals. Takes the owning shard's mutex briefly (never
+  /// stats().totals. Takes the dispatcher's mutex briefly (never
   /// contended by the lock-free submit path).
   [[nodiscard]] GroupStats weights_stats(const CompressedNM* weights) const;
   /// As weights_stats, for the FFN groups serving @p plan.
@@ -338,12 +327,6 @@ class Server {
   /// options); evicted groups' samples only survive in stats().latency.
   [[nodiscard]] serve::TelemetrySnapshot weights_latency(
       const CompressedNM* weights) const;
-  /// As weights_latency, for the FFN groups serving @p plan.
-  [[nodiscard]] serve::TelemetrySnapshot model_latency(
-      const model::ModelPlan* plan) const;
-  /// As weights_latency, for the decode groups serving @p plan.
-  [[nodiscard]] serve::TelemetrySnapshot decode_latency(
-      const model::DecoderPlan* plan) const;
 
   /// Write every retained trace span as Chrome trace-event JSON (load
   /// the file in chrome://tracing or ui.perfetto.dev). FAILED_PRECONDITION
@@ -356,8 +339,8 @@ class Server {
   }
 
   [[nodiscard]] Engine& engine() { return engine_; }
-  /// Post-construction options: num_shards / ring_capacity reflect the
-  /// resolved values, not the 0 = auto the caller may have passed.
+  /// Post-construction options: ring_capacity reflects the resolved
+  /// value, not the 0 = default the caller may have passed.
   [[nodiscard]] const ServerOptions& options() const { return options_; }
 
  private:
@@ -402,7 +385,7 @@ class Server {
   /// GroupStats as relaxed atomics, so the dispatcher and submitters
   /// update them without a lock and stats readers snapshot them
   /// concurrently. Each event is counted twice — once on its group,
-  /// once on the shard totals — so stats() stays exact across group
+  /// once on the server totals — so stats() stays exact across group
   /// eviction without any fold-on-evict bookkeeping.
   struct GroupCounters {
     std::atomic<std::uint64_t> requests{0};
@@ -420,21 +403,22 @@ class Server {
   };
   struct Group {
     Target target;
-    /// Pending requests. Only touched under the owning shard's mutex
-    /// (dispatcher drain/flush, per-target stats queries).
+    /// Pending requests. Only touched under mutex_ (dispatcher
+    /// drain/flush, per-target stats queries).
     BatchQueue queue;
     GroupCounters counters;
     /// Stage-latency recorder for the per-target latency queries (null
     /// when ServerOptions::telemetry is off). shared_ptr: in-flight
-    /// batches record into it outside the shard lock, so it must
-    /// outlive a concurrent eviction of the group (samples recorded after eviction are dropped from the
-    /// per-target view; the shard recorder keeps them).
+    /// batches record into it outside mutex_, so it must outlive a
+    /// concurrent eviction of the group (samples recorded after
+    /// eviction are dropped from the per-target view; the server-wide
+    /// recorder keeps them).
     std::shared_ptr<serve::Telemetry> telemetry;
   };
-  /// One submission in flight between submit() and its shard's
-  /// dispatcher: everything needed to find-or-create the group and
-  /// enqueue the request. Owns its target reference, so a message
-  /// outliving a group eviction is self-sufficient.
+  /// One submission in flight between submit() and the dispatcher:
+  /// everything needed to find-or-create the group and enqueue the
+  /// request. Owns its target reference, so a message outliving a group
+  /// eviction is self-sufficient.
   struct SubmitMsg {
     Target target;
     BatchRequest request;
@@ -449,7 +433,6 @@ class Server {
     Clock::time_point popped = kUnset;
     Clock::time_point start = kUnset;
     Clock::time_point end = kUnset;
-    obs::ExecLane lane = obs::ExecLane::kNone;
     std::uint8_t flush = obs::kNoAttr;  ///< FlushReason trace byte
     std::uint64_t repacks = 0;  ///< WeightStore repacks inside the window
   };
@@ -473,124 +456,70 @@ class Server {
   };
   using StagingMap = std::unordered_map<const void*, Staging>;
 
-  /// One dispatcher's world: submission ring, wake protocol, group map.
-  ///
-  /// Locking rules (the whole point of the sharded design):
-  ///  - `ring` is lock-free; submitters publish, the dispatcher pops.
-  ///  - `mutex` guards `groups` (map structure AND the BatchQueues
-  ///    inside) and `cv`. It is taken by the dispatcher (drain / flush /
-  ///    evict), by per-target stats queries, and momentarily by a
-  ///    submitter waking a sleeping dispatcher — never on the lock-free
-  ///    submit path.
-  ///  - `totals`, group counters, and telemetry are atomics / lock-free
-  ///    recorders, updated and read without the mutex.
-  ///
-  /// Sleep/wake is an eventcount over `pushed` + `sleeping`, all
-  /// seq_cst (TSan-clean; no fences): a producer does {publish;
-  /// pushed++ (RMW); load sleeping} and the dispatcher does {store
-  /// sleeping=true; load pushed, compare against its drained count} —
-  /// seq_cst forbids both sides reading the other's old value, so
-  /// either the dispatcher sees the new push and skips sleeping, or the
-  /// producer sees sleeping==true and notifies under the mutex (which
-  /// serializes with the dispatcher's predicate-check-then-wait).
-  struct Shard {
-    explicit Shard(std::size_t ring_capacity, bool telemetry)
-        : ring(ring_capacity),
-          telemetry(telemetry ? std::make_shared<serve::Telemetry>()
-                              : nullptr) {}
-
-    serve::MpscRing<SubmitMsg> ring;
-    /// Position in Server::shards_ (the shard attribute of trace spans
-    /// and the tid of the Chrome trace dump).
-    std::uint16_t index = 0;
-    /// Successful ring publishes (the eventcount ticket).
-    std::atomic<std::uint64_t> pushed{0};
-    /// Dispatcher is (about to be) parked on cv.
-    std::atomic<bool> sleeping{false};
-    /// Submitters currently inside the publish protocol; the shutdown
-    /// drain exits only once this is 0 (see dispatcher_loop).
-    std::atomic<std::uint64_t> entrants{0};
-    /// Shard-wide counters: the lock-free source for stats(). See
-    /// GroupCounters for the double-count scheme.
-    GroupCounters totals;
-    std::atomic<std::uint64_t> ring_stalls{0};
-    std::atomic<std::uint64_t> groups_seen{0};
-    /// Admission accounting. pending_rows / pending_bytes track the
-    /// admitted-but-unresolved work the high-water marks bound
-    /// (incremented at publish, decremented at resolution). shed_* /
-    /// submit_deadline_fails mirror the Stats fields of the same names.
-    std::atomic<std::uint64_t> pending_rows{0};
-    std::atomic<std::uint64_t> pending_bytes{0};
-    std::atomic<std::uint64_t> shed_requests{0};
-    std::atomic<std::uint64_t> shed_bytes{0};
-    std::atomic<std::uint64_t> submit_deadline_fails{0};
-    /// Shard-wide latency recorder backing stats().latency (null when
-    /// telemetry is off). Immutable pointer after construction, so
-    /// stats() reads it without the mutex.
-    std::shared_ptr<serve::Telemetry> telemetry;
-
-    std::mutex mutex;
-    std::condition_variable cv;
-    std::unordered_map<GroupKey, std::shared_ptr<Group>, GroupKeyHash>
-        groups;
-    std::thread dispatcher;
-  };
-
-  /// The shard every group of @p target lives on (mixed pointer hash):
-  /// all option-variants of one weight matrix share a shard, so staging
-  /// and coalescing stay per-target exactly as before sharding.
-  [[nodiscard]] Shard& shard_of(const void* target) const;
   /// Common post-validation path of submit / submit_ffn / submit_decode:
-  /// admission, publish to the shard ring (with full-ring backpressure),
-  /// wake the dispatcher.
+  /// admission, publish to the ring (with full-ring backpressure), wake
+  /// the dispatcher.
   std::future<Status> enqueue(Target target, ConstViewF A, ViewF C,
                               std::uint64_t deadline_us,
                               Clock::time_point submitted,
                               std::uint64_t seq_id = 0);
-  /// The group serving @p target, created on first use. Requires
-  /// shard.mutex.
-  std::shared_ptr<Group> group_for(Shard& shard, Target target);
+  /// The group serving @p target, created on first use. Requires mutex_.
+  std::shared_ptr<Group> group_for(Target target);
 
-  void dispatcher_loop(Shard& shard);
+  void dispatcher_loop();
   /// Pop every published ring message into its group's queue (creating
   /// groups as needed). Returns the number of messages drained; adds
   /// them to @p drained for the eventcount.
-  std::size_t drain_ring(Shard& shard, std::uint64_t& drained,
+  std::size_t drain_ring(std::uint64_t& drained,
                          std::vector<SubmitMsg>& scratch);
   /// Pop the next batch that must flush (row budget, deadline, or drain),
-  /// oldest front request first when several groups are ready. Locks the
-  /// shard mutex; returns an empty batch when nothing is ready.
-  PendingBatch next_batch(Shard& shard, Clock::time_point now);
-  /// Evict idle groups beyond options_.max_groups (except @p keep, the
-  /// group the caller is still inserting into). Requires shard.mutex.
-  void prune_idle_groups(Shard& shard, const Group* keep = nullptr);
-  /// Drop staging buffers for targets no live group of @p shard serves.
-  /// Requires shard.mutex (group map read); staging itself is the
-  /// dispatcher's own.
-  void prune_staging(Shard& shard, StagingMap& staging);
+  /// oldest front request first when several groups are ready. Locks
+  /// mutex_; returns an empty batch when nothing is ready.
+  PendingBatch next_batch(Clock::time_point now);
+  /// Evict idle groups beyond options_.max_groups. Requires mutex_.
+  void prune_idle_groups();
+  /// Drop staging buffers for targets no live group serves. Requires
+  /// mutex_ (group map read); staging itself is the dispatcher's own.
+  void prune_staging(StagingMap& staging);
   /// Assemble, execute, scatter, and resolve one batch (no lock held).
   /// Returns the batch's worst Status. May throw (e.g. staging growth
   /// failure); the dispatcher's guard then resolves the rest of the
   /// batch through fail_batch.
-  Status serve_batch(Shard& shard, PendingBatch& batch, StagingMap& staging);
+  Status serve_batch(PendingBatch& batch, StagingMap& staging);
   /// Resolve one request — served, failed, or expired — with @p status:
   /// violation / error counters, the stage latencies and (when sampled)
   /// trace spans from the same instants, the admission gauges, then the
   /// promise. The only place a request's stage times are written.
-  void complete(Shard& shard, Group& group, BatchRequest& r,
-                const Execution& x, const Status& status);
+  void complete(Group& group, BatchRequest& r, const Execution& x,
+                const Status& status);
   /// Resolve every not-yet-resolved request of @p batch with @p status.
-  void fail_batch(Shard& shard, PendingBatch& batch, const Status& status);
+  void fail_batch(PendingBatch& batch, const Status& status);
   /// Aggregate the live groups whose key target is @p target.
   [[nodiscard]] GroupStats target_stats(const void* target) const;
-  /// Merge the latency snapshots of the live groups serving @p target.
-  [[nodiscard]] serve::TelemetrySnapshot target_latency(
-      const void* target) const;
 
   /// Dump the flight recorder to options_.trace_flight_path (no-op when
   /// tracing is off or the path is empty). Called by the dispatcher's
   /// exception guard after a batch failure.
   void flight_dump() const;
+
+  // Locking rules:
+  //  - ring_ is lock-free; submitters publish, the dispatcher pops.
+  //  - mutex_ guards groups_ (map structure AND the BatchQueues inside)
+  //    and cv_. It is taken by the dispatcher (drain / flush / evict),
+  //    by per-target stats queries, and momentarily by a submitter
+  //    waking a sleeping dispatcher — never on the lock-free submit
+  //    path.
+  //  - totals_, group counters, and telemetry are atomics / lock-free
+  //    recorders, updated and read without the mutex.
+  //
+  // Sleep/wake is an eventcount over pushed_ + sleeping_, all seq_cst
+  // (TSan-clean; no fences): a producer does {publish; pushed_++ (RMW);
+  // load sleeping_} and the dispatcher does {store sleeping_=true; load
+  // pushed_, compare against its drained count} — seq_cst forbids both
+  // sides reading the other's old value, so either the dispatcher sees
+  // the new push and skips sleeping, or the producer sees
+  // sleeping_==true and notifies under the mutex (which serializes with
+  // the dispatcher's predicate-check-then-wait).
 
   ServerOptions options_;
   Engine engine_;
@@ -599,7 +528,39 @@ class Server {
   /// sequence: request n is traced when n % trace_sample_n == 0.
   std::unique_ptr<obs::TraceRecorder> tracer_;
   std::atomic<std::uint64_t> trace_seq_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
+
+  serve::MpscRing<SubmitMsg> ring_;
+  /// Successful ring publishes (the eventcount ticket).
+  std::atomic<std::uint64_t> pushed_{0};
+  /// Dispatcher is (about to be) parked on cv_.
+  std::atomic<bool> sleeping_{false};
+  /// Submitters currently inside the publish protocol; the shutdown
+  /// drain exits only once this is 0 (see dispatcher_loop).
+  std::atomic<std::uint64_t> entrants_{0};
+  /// Server-wide counters: the lock-free source for stats(). See
+  /// GroupCounters for the double-count scheme.
+  GroupCounters totals_;
+  std::atomic<std::uint64_t> ring_stalls_{0};
+  std::atomic<std::uint64_t> groups_seen_{0};
+  /// Admission accounting. pending_rows_ / pending_bytes_ track the
+  /// admitted-but-unresolved work the high-water marks bound
+  /// (incremented at publish, decremented at resolution). shed_* /
+  /// submit_deadline_fails_ mirror the Stats fields of the same names.
+  std::atomic<std::uint64_t> pending_rows_{0};
+  std::atomic<std::uint64_t> pending_bytes_{0};
+  std::atomic<std::uint64_t> shed_requests_{0};
+  std::atomic<std::uint64_t> shed_bytes_{0};
+  std::atomic<std::uint64_t> submit_deadline_fails_{0};
+  /// Server-wide latency recorder backing stats().latency (null when
+  /// telemetry is off). Immutable pointer after construction, so
+  /// stats() reads it without the mutex.
+  std::shared_ptr<serve::Telemetry> telemetry_;
+
+  mutable std::mutex mutex_;
+  std::condition_variable cv_;
+  std::unordered_map<GroupKey, std::shared_ptr<Group>, GroupKeyHash> groups_;
+  /// Started last in the constructor, after every member it reads.
+  std::thread dispatcher_;
 };
 
 }  // namespace nmspmm

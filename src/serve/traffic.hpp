@@ -153,7 +153,7 @@ struct TrafficReport {
   /// Server violation-counter delta over the run.
   std::uint64_t slo_violations = 0;
   /// Server-side submission-ring stall delta over the run: times a
-  /// submit found its shard's MPSC ring full and had to back off
+  /// submit found the server's MPSC ring full and had to back off
   /// (distinct from `stalls`, the harness running out of slot buffers).
   std::uint64_t ring_stalls = 0;
   /// Shed-vs-stall split of the overload response. `shed` counts

@@ -174,7 +174,6 @@ TEST(Chaos, BaselineStormConservesCountersUnderEveryAdmissionPolicy) {
         AdmissionPolicy::kShedByClass}) {
     SCOPED_TRACE(static_cast<int>(admission));
     StormConfig cfg;
-    cfg.server.num_shards = 2;
     cfg.server.ring_capacity = 8;
     cfg.server.max_batch_rows = 8;
     cfg.server.admission = admission;
@@ -246,7 +245,6 @@ TEST(Chaos, HundredSeededFaultSchedulesPreserveServingInvariants) {
     serve::ScopedFaultPlan scoped(plan);
 
     StormConfig cfg;
-    cfg.server.num_shards = 2;
     cfg.server.ring_capacity = 8;
     cfg.server.max_batch_rows = 8;
     cfg.server.max_wait_us = 100;
@@ -280,7 +278,6 @@ TEST(Chaos, ServerSurvivesStagingAllocFailureAndKeepsServing) {
   Rng rng(704);
   auto b = shared_weights(64, 64, NMConfig{2, 4, 16}, rng);
   ServerOptions opt;
-  opt.num_shards = 1;
   // The staging path only runs for coalesced (multi-request) batches —
   // a lone request borrows the caller's views directly. A generous
   // max_wait lets two back-to-back submits land in one batch.

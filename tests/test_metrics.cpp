@@ -28,12 +28,11 @@ std::shared_ptr<const CompressedNM> shared_weights(index_t k, index_t n,
 }
 
 // A server that has actually served traffic, so the exposition carries
-// occupied histograms, per-shard counters, and nonzero totals.
+// occupied histograms and nonzero totals.
 Server::Stats served_stats(std::vector<obs::TargetMetrics>* targets = nullptr) {
   Rng rng(61);
   auto b = shared_weights(64, 64, rng);
   ServerOptions opt;
-  opt.num_shards = 2;
   opt.trace_sample_n = 1;
   Server server(opt);
   for (int i = 0; i < 16; ++i) {
@@ -182,13 +181,8 @@ TEST(Metrics, ServedStatsExpositionParsesWithEscapedTargetLabels) {
             static_cast<double>(stats.totals.requests));
   EXPECT_EQ(exp.samples.at("nmspmm_trace_spans_total"),
             static_cast<double>(stats.trace_spans));
-  // Per-shard samples exist and sum to the totals.
-  double shard_sum = 0.0;
-  for (std::size_t i = 0; i < stats.per_shard.size(); ++i) {
-    shard_sum += exp.samples.at("nmspmm_shard_requests_total{shard=\"" +
-                                std::to_string(i) + "\"}");
-  }
-  EXPECT_EQ(shard_sum, static_cast<double>(stats.totals.requests));
+  // One dispatcher: no per-shard family repeats the totals.
+  EXPECT_EQ(text.find("shard"), std::string::npos) << text;
   // The hostile target name round-trips escaped (parse already checked
   // escape validity; presence checks the exact escaping).
   EXPECT_NE(
@@ -278,7 +272,7 @@ TEST(Metrics, JsonRenderingIsStructurallySound) {
   EXPECT_FALSE(in_string);
   EXPECT_EQ(json.back(), '\n');
   for (const char* key :
-       {"\"totals\":", "\"per_shard\":", "\"latency\":", "\"targets\":",
+       {"\"totals\":", "\"latency\":", "\"targets\":",
         "\"trace_spans\":", "\"min_us\":", "\"p99_us\":"}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }

@@ -98,7 +98,6 @@ TEST(Server, CoalescedResultsMatchSerialEngineBitExactly) {
     SCOPED_TRACE(burst.name);
     ServerOptions opt;
     opt.engine.num_threads = burst.engine_threads;
-    opt.num_shards = 1;
     opt.max_batch_rows = burst.max_batch_rows;
     opt.max_wait_us = 200000;  // generous: only full batches flush early
     Server server(opt);
@@ -255,7 +254,6 @@ TEST(Server, EvictsIdleGroupsBeyondMaxGroups) {
   opt.max_batch_rows = 4;
   opt.max_wait_us = 100;
   opt.max_groups = 2;
-  opt.num_shards = 1;  // max_groups is per shard; pin for portability
   // The engine's plan cache pins weights too; bound it so releases are
   // observable through use_count below.
   opt.engine.plan_cache_capacity = 1;
@@ -556,74 +554,16 @@ TEST(ServerTelemetry, StatsExposePerStagePerClassLatency) {
   EXPECT_EQ(latency.total_violations(), 0u);
 }
 
-// --- Sharded dispatch: the lock-free submission rings and per-shard
-// dispatchers.
+// --- The dispatcher under concurrency: shutdown races, a full ring,
+// eviction during flushes, replayed traffic and lock-free stats reads.
 
-TEST(ServerSharded, ResultsBitExactVsUnshardedOnFixedRequestSet) {
-  Rng rng(920);
-  const index_t k = 96;
-  std::vector<std::shared_ptr<const CompressedNM>> weights;
-  for (int i = 0; i < 4; ++i) {
-    weights.push_back(shared_weights(k, 48 + 16 * i, NMConfig{2, 4, 16}, rng));
-  }
-
-  // One fixed request set, served by a 4-shard and a 1-shard server.
-  // Integer-valued operands make both runs comparable bit-for-bit
-  // against the serial reference — sharding must not change results.
-  struct Problem {
-    std::shared_ptr<const CompressedNM> weights;
-    MatrixF a;
-    MatrixF expect;
-  };
-  std::vector<Problem> problems;
-  for (int i = 0; i < 40; ++i) {
-    Problem p;
-    p.weights = weights[static_cast<std::size_t>(i) % weights.size()];
-    p.a = random_int_matrix(1 + i % 6, k, rng);
-    p.expect = reference_for(p.a.view(), *p.weights);
-    problems.push_back(std::move(p));
-  }
-
-  for (unsigned shards : {1u, 4u}) {
-    ServerOptions opt;
-    opt.num_shards = shards;
-    opt.max_batch_rows = 16;
-    opt.max_wait_us = 500;
-    Server server(opt);
-    EXPECT_EQ(server.options().num_shards, shards);
-
-    std::vector<MatrixF> outputs;
-    std::vector<std::future<Status>> done;
-    outputs.reserve(problems.size());
-    for (const Problem& p : problems) {
-      outputs.emplace_back(p.a.rows(), p.weights->cols);
-    }
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      done.push_back(server.submit(problems[i].a.view(), problems[i].weights,
-                                   outputs[i].view()));
-    }
-    for (auto& f : done) NMSPMM_ASSERT_OK(f.get());
-    for (std::size_t i = 0; i < problems.size(); ++i) {
-      EXPECT_EQ(max_abs_diff(problems[i].expect.cview(), outputs[i].cview()),
-                0.0)
-          << "request " << i << " with " << shards << " shard(s)";
-    }
-    const auto stats = server.stats();
-    EXPECT_EQ(stats.shards, shards);
-    EXPECT_EQ(stats.totals.requests, problems.size());
-    EXPECT_EQ(stats.groups, weights.size());
-    EXPECT_EQ(stats.totals.errors, 0u);
-  }
-}
-
-TEST(ServerSharded, ConcurrentSubmittersSurviveShutdownRace) {
+TEST(ServerDispatch, ConcurrentSubmittersSurviveShutdownRace) {
   Rng rng(923);
   const index_t k = 64, n = 64;
   auto B1 = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
   auto B2 = shared_weights(k, n, NMConfig{4, 8, 8}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 2;
   opt.max_batch_rows = 8;
   opt.max_wait_us = 200;
   Server server(opt);
@@ -683,13 +623,12 @@ TEST(ServerSharded, ConcurrentSubmittersSurviveShutdownRace) {
   EXPECT_EQ(server.stats().totals.requests, served);
 }
 
-TEST(ServerSharded, FullRingBackpressuresSubmittersAndCountsStalls) {
+TEST(ServerDispatch, FullRingBackpressuresSubmittersAndCountsStalls) {
   Rng rng(924);
   const index_t k = 128, n = 128;
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.ring_capacity = 2;  // deliberately tiny: force the full-ring path
   opt.max_batch_rows = 8;
   opt.max_wait_us = 0;  // dispatcher flushes continuously (stays busy)
@@ -730,22 +669,20 @@ TEST(ServerSharded, FullRingBackpressuresSubmittersAndCountsStalls) {
   EXPECT_GT(server.stats().ring_stalls, 0u);
 }
 
-TEST(ServerSharded, EvictionDuringConcurrentFlushesReleasesWeights) {
+TEST(ServerDispatch, EvictionDuringConcurrentFlushesReleasesWeights) {
   Rng rng(925);
   const index_t k = 64, n = 64;
 
   ServerOptions opt;
-  opt.num_shards = 2;
-  opt.max_groups = 1;  // per shard: every new target evicts the old one
+  opt.max_groups = 1;  // every new target evicts an idle predecessor
   opt.max_batch_rows = 4;
   opt.max_wait_us = 100;
   opt.engine.plan_cache_capacity = 1;
   Server server(opt);
 
   // Two threads cycle through disjoint sets of weight matrices. With one
-  // group allowed per shard, each new target evicts its predecessor —
-  // routinely while the other thread's flush against the same shard is
-  // mid-flight. Batches hold shared ownership of their group, so this
+  // group allowed, each new target evicts an idle predecessor —
+  // routinely while the other thread's flush is mid-flight. Batches hold shared ownership of their group, so this
   // must never free state an execution still uses.
   const int kThreads = 2, kWeightsPerThread = 8;
   std::vector<std::vector<std::shared_ptr<const CompressedNM>>> weights(
@@ -779,8 +716,8 @@ TEST(ServerSharded, EvictionDuringConcurrentFlushesReleasesWeights) {
   server.shutdown();
 
   // Eviction really released the retired groups' weight references:
-  // at most one live group per shard plus the engine's size-1 plan
-  // cache may still pin a matrix.
+  // the one retained group and the engine's size-1 plan cache may
+  // still pin a matrix (the bound leaves one more of slack).
   int released = 0;
   for (const auto& thread_weights : weights) {
     for (const auto& w : thread_weights) {
@@ -790,14 +727,14 @@ TEST(ServerSharded, EvictionDuringConcurrentFlushesReleasesWeights) {
   EXPECT_GE(released, kThreads * kWeightsPerThread - 3);
   const auto stats = server.stats();
   // groups counts creations: every eviction-then-return starts a fresh
-  // group, so three rounds over 16 targets with a cap of 1 per shard
-  // must have recreated far more than the 16 distinct targets.
+  // group, so three rounds over 16 targets with a cap of 1 must have
+  // recreated far more than the 16 distinct targets.
   EXPECT_GE(stats.groups,
             static_cast<std::size_t>(kThreads * kWeightsPerThread));
   EXPECT_EQ(stats.totals.errors, 0u);
 }
 
-TEST(ServerSharded, SeededTrafficReplayIsReproducibleAcrossShardedRuns) {
+TEST(ServerDispatch, SeededTrafficReplayIsReproducibleAcrossRuns) {
   Rng rng(927);
   const index_t k = 96, n = 96;
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
@@ -818,7 +755,6 @@ TEST(ServerSharded, SeededTrafficReplayIsReproducibleAcrossShardedRuns) {
 
   auto run_once = [&]() -> serve::TrafficReport {
     ServerOptions opt;
-    opt.num_shards = 2;
     opt.max_batch_rows = 16;
     opt.max_wait_us = 200;
     Server server(opt);
@@ -831,7 +767,7 @@ TEST(ServerSharded, SeededTrafficReplayIsReproducibleAcrossShardedRuns) {
   };
 
   // The schedule is a pure function of (seed, options): two fresh
-  // sharded servers must see the identical request stream, and every
+  // servers must see the identical request stream, and every
   // request must resolve OK both times. Latency of course differs.
   const serve::TrafficReport first = run_once();
   const serve::TrafficReport second = run_once();
@@ -848,13 +784,12 @@ TEST(ServerSharded, SeededTrafficReplayIsReproducibleAcrossShardedRuns) {
   }
 }
 
-TEST(ServerSharded, StatsReadableLockFreeDuringConcurrentLoad) {
+TEST(ServerDispatch, StatsReadableLockFreeDuringConcurrentLoad) {
   Rng rng(928);
   const index_t k = 64, n = 64;
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 2;
   opt.max_batch_rows = 8;
   opt.max_wait_us = 200;
   Server server(opt);
@@ -910,7 +845,6 @@ TEST(ServerSharded, StatsReadableLockFreeDuringConcurrentLoad) {
   EXPECT_EQ(stats.totals.requests,
             static_cast<std::uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(stats.totals.errors, 0u);
-  EXPECT_EQ(stats.shards, 2u);
 }
 
 // ------------------------------------------------------------- overload
@@ -921,7 +855,6 @@ TEST(ServerOverload, ShedFailsFastOverHighWaterAndCountsShedBytes) {
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.admission = AdmissionPolicy::kShed;
   opt.shed_pending_rows = 2;       // exactly one 2-row request fits
   opt.max_batch_rows = 64;
@@ -961,7 +894,6 @@ TEST(ServerOverload, ShedByClassProtectsSingleRowDecode) {
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.admission = AdmissionPolicy::kShedByClass;
   opt.shed_pending_rows = 1;  // any multi-row admission trips the mark
   Server server(opt);
@@ -991,7 +923,6 @@ TEST(ServerOverload, BlockedSubmitFailsAtItsOwnDeadline) {
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.ring_capacity = 2;  // tiny: submits routinely find it full
   opt.max_batch_rows = 8;
   opt.max_wait_us = 0;  // dispatcher flushes continuously (stays busy)
@@ -1040,7 +971,6 @@ TEST(ServerOverload, OpenLoopRetryBudgetBoundsRetryStorms) {
   auto B = shared_weights(k, n, NMConfig{2, 4, 16}, rng);
 
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.admission = AdmissionPolicy::kShed;
   opt.shed_pending_rows = 1;  // 2-row requests can never be admitted
   Server server(opt);
@@ -1222,8 +1152,7 @@ TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
       SCOPED_TRACE(std::string(to_string(target)) + " / " + to_string(path));
       const int count = path == PathCase::kCoalesced ? 2 : 1;
       ServerOptions opt;
-      opt.num_shards = 1;
-      opt.trace_sample_n = 1;
+        opt.trace_sample_n = 1;
       // A budget of exactly `count` rows and a minute-long max_wait: the
       // requests flush together, as one full batch.
       opt.max_batch_rows = count;
@@ -1311,8 +1240,8 @@ TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
                   0u);
       }
 
-      // Spans: the same stages, each carrying the request's lane; a
-      // queued request's submit span predates its batch and has none.
+      // Spans: the same stages, each carrying the batch's flush reason;
+      // a queued request's submit span predates its batch and has none.
       std::map<std::uint64_t, std::map<obs::SpanKind, obs::TraceSpan>> spans;
       for (const obs::TraceSpan& span : server.tracer()->snapshot()) {
         if (span.trace_id == 0 || span.kind > obs::SpanKind::kTotal) continue;
@@ -1328,13 +1257,138 @@ TEST(ServerTarget, EveryTargetAndPathMatchesADirectPlanCall) {
                                          target_id)));
           EXPECT_EQ(span.rows, 1u);
           const bool pre_batch = kind == obs::SpanKind::kSubmit;
-          EXPECT_EQ(span.lane, pre_batch ? obs::ExecLane::kNone
-                                         : obs::ExecLane::kCoalesce);
           EXPECT_EQ(span.flush == obs::kNoAttr, pre_batch);
         }
       }
     }
   }
+}
+
+
+// Plain weights, a ModelPlan and a DecoderPlan, each driven by its own
+// client thread at once: the one dispatcher serves all three, every
+// output matches a direct plan call bit for bit, and the single
+// per_shard entry equals the totals — the invariant perfbench's
+// served_by / share_dispatcher rely on.
+TEST(Server, OneDispatcherServesEveryTarget) {
+  Rng rng(931);
+  const NMConfig cfg{2, 4, 16};
+  const index_t hidden = 64;
+  constexpr int kRows = 4;  // one round of requests = one full batch
+  constexpr int kRounds = 8;
+  const model::DecoderLayer layer = small_decoder_layer(cfg, rng);
+
+  ServerOptions opt;
+  opt.max_batch_rows = kRows;
+  opt.max_wait_us = 60 * 1000 * 1000;  // flush only when full
+  Server server(opt);
+  Engine& engine = server.engine();
+  const auto weights = shared_weights(hidden, hidden, cfg, rng);
+  auto ffn = engine.plan_model(kRows, {layer.ffn});
+  NMSPMM_ASSERT_OK(ffn.status());
+  attn::KvCacheOptions kv;
+  kv.page_tokens = 4;
+  kv.max_tokens = kRows * kRounds;
+  // Decoding advances KV state, so the direct calls run on a twin plan
+  // of the same layer, from the same fresh sequences.
+  auto decoder = engine.plan_decoder(kRows, layer, kv);
+  Engine twin_engine;
+  auto twin = twin_engine.plan_decoder(kRows, layer, kv);
+  NMSPMM_ASSERT_OK(decoder.status());
+  NMSPMM_ASSERT_OK(twin.status());
+  std::vector<std::uint64_t> seqs;
+  for (int i = 0; i < kRows; ++i) {
+    seqs.push_back(20 + static_cast<std::uint64_t>(i));
+    NMSPMM_ASSERT_OK((*decoder)->begin_sequence(seqs.back()));
+    NMSPMM_ASSERT_OK((*twin)->begin_sequence(seqs.back()));
+  }
+
+  // Target t submits row r of x[t] into row r of got[t]; row r belongs
+  // to sequence r % kRows.
+  constexpr int kTargets = 3;
+  const index_t total_rows = kRows * kRounds;
+  std::vector<MatrixF> x, got, want;
+  for (int t = 0; t < kTargets; ++t) {
+    x.push_back(random_matrix(total_rows, hidden, rng, -0.5f, 0.5f));
+    got.emplace_back(total_rows, hidden);
+    want.emplace_back(total_rows, hidden);
+  }
+  auto submit = [&](int t, index_t r) {
+    const ConstViewF a = x[static_cast<std::size_t>(t)].cview().block(
+        r, 0, 1, hidden);
+    const ViewF c = got[static_cast<std::size_t>(t)].view().block(
+        r, 0, 1, hidden);
+    if (t == 0) return server.submit(a, weights, c);
+    if (t == 1) return server.submit_ffn(a, *ffn, c);
+    return server.submit_decode(seqs[static_cast<std::size_t>(r % kRows)],
+                                a, *decoder, c);
+  };
+  std::vector<std::vector<Status>> results(kTargets);
+  std::vector<std::thread> clients;
+  for (int t = 0; t < kTargets; ++t) {
+    clients.emplace_back([&, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        std::vector<std::future<Status>> done;
+        for (index_t i = 0; i < kRows; ++i) {
+          done.push_back(submit(t, round * kRows + i));
+        }
+        for (auto& f : done) {
+          results[static_cast<std::size_t>(t)].push_back(f.get());
+        }
+      }
+    });
+  }
+  for (auto& c : clients) c.join();
+  for (const auto& statuses : results) {
+    for (const Status& s : statuses) NMSPMM_ASSERT_OK(s);
+  }
+
+  // Direct calls over the same rounds of rows the dispatcher gathered.
+  for (int round = 0; round < kRounds; ++round) {
+    const index_t r0 = round * kRows;
+    auto in = [&](int t) {
+      return x[static_cast<std::size_t>(t)].cview().block(r0, 0, kRows,
+                                                         hidden);
+    };
+    auto out = [&](int t) {
+      return want[static_cast<std::size_t>(t)].view().block(r0, 0, kRows,
+                                                           hidden);
+    };
+    NMSPMM_ASSERT_OK(engine.spmm(in(0), weights, out(0)));
+    NMSPMM_ASSERT_OK((*ffn)->run(in(1), out(1)));
+    std::vector<Status> rows(static_cast<std::size_t>(kRows));
+    NMSPMM_ASSERT_OK((*twin)->decode(in(2), seqs.data(), out(2), rows.data()));
+    for (const Status& row : rows) NMSPMM_ASSERT_OK(row);
+  }
+  for (int t = 0; t < kTargets; ++t) {
+    EXPECT_EQ(max_abs_diff(want[static_cast<std::size_t>(t)].cview(),
+                           got[static_cast<std::size_t>(t)].cview()),
+              0.0)
+        << "target " << t;
+  }
+
+  // Every round of every target flushed as one full batch.
+  const auto rounds = static_cast<std::uint64_t>(kRounds);
+  EXPECT_EQ(server.weights_stats(weights.get()).batches, rounds);
+  EXPECT_EQ(server.model_stats(ffn->get()).batches, rounds);
+  EXPECT_EQ(server.decode_stats(decoder->get()).batches, rounds);
+  const Server::Stats stats = server.stats();
+  EXPECT_EQ(stats.totals.requests, kTargets * rounds * kRows);
+  EXPECT_EQ(stats.totals.batches, kTargets * rounds);
+  EXPECT_EQ(stats.totals.full_flushes, kTargets * rounds);
+  ASSERT_EQ(stats.per_shard.size(), 1u);
+  const Server::GroupStats& only = stats.per_shard[0];
+  EXPECT_EQ(only.requests, stats.totals.requests);
+  EXPECT_EQ(only.rows, stats.totals.rows);
+  EXPECT_EQ(only.batches, stats.totals.batches);
+  EXPECT_EQ(only.full_flushes, stats.totals.full_flushes);
+  EXPECT_EQ(only.timeout_flushes, stats.totals.timeout_flushes);
+  EXPECT_EQ(only.slo_flushes, stats.totals.slo_flushes);
+  EXPECT_EQ(only.errors, stats.totals.errors);
+  EXPECT_EQ(only.slo_violations, stats.totals.slo_violations);
+  EXPECT_EQ(only.split_batches, stats.totals.split_batches);
+  EXPECT_EQ(only.bypassed, stats.totals.bypassed);
+  EXPECT_EQ(only.max_queue_depth, stats.totals.max_queue_depth);
 }
 
 }  // namespace

@@ -61,12 +61,10 @@ TEST(TraceRecorder, AttributesSurviveThePackedSlotRoundTrip) {
   s.dur_us = 789;
   s.target = 0xdeadbeefull;
   s.detail = 42;
-  s.rows = 513;
-  s.shard = 3;
+  s.rows = 70000;  // wider than 16 bits: rows keep all 32
   s.kind = SpanKind::kExecute;
   s.cls = 1;
   s.flush = 2;
-  s.lane = obs::ExecLane::kCoalesce;  // the one execute lane
   rec.record(s);
   const auto spans = rec.snapshot();
   ASSERT_EQ(spans.size(), 1u);
@@ -77,11 +75,9 @@ TEST(TraceRecorder, AttributesSurviveThePackedSlotRoundTrip) {
   EXPECT_EQ(r.target, s.target);
   EXPECT_EQ(r.detail, s.detail);
   EXPECT_EQ(r.rows, s.rows);
-  EXPECT_EQ(r.shard, s.shard);
   EXPECT_EQ(r.kind, s.kind);
   EXPECT_EQ(r.cls, s.cls);
   EXPECT_EQ(r.flush, s.flush);
-  EXPECT_EQ(r.lane, s.lane);
 }
 
 // A single writer wrapping the ring: overwrites are counted in drops(),
@@ -166,10 +162,8 @@ TEST(TraceRecorder, ConcurrentSnapshotsDuringWraparoundSeeOnlyIntactSpans) {
 
 TEST(TraceExport, ChromeEventsCarryStageAndAttributeFields) {
   TraceSpan s = make_span(7, SpanKind::kExecute, 100, 50);
-  s.shard = 2;
   s.cls = 0;
   s.flush = 1;
-  s.lane = obs::ExecLane::kCoalesce;
   s.rows = 4;
   s.detail = 3;
   s.target = 0xabc;
@@ -178,20 +172,19 @@ TEST(TraceExport, ChromeEventsCarryStageAndAttributeFields) {
   EXPECT_NE(out.find("\"name\":\"execute\""), std::string::npos) << out;
   EXPECT_NE(out.find("\"cat\":\"decode\""), std::string::npos);
   EXPECT_NE(out.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(out.find("\"tid\":2"), std::string::npos);
+  EXPECT_NE(out.find("\"pid\":1,\"tid\":0"), std::string::npos);
   EXPECT_NE(out.find("\"ts\":100"), std::string::npos);
   EXPECT_NE(out.find("\"dur\":50"), std::string::npos);
   EXPECT_NE(out.find("\"trace_id\":7"), std::string::npos);
   EXPECT_NE(out.find("\"rows\":4"), std::string::npos);
   EXPECT_NE(out.find("\"flush\":\"timeout\""), std::string::npos);
-  EXPECT_NE(out.find("\"lane\":\"coalesce\""), std::string::npos);
+  EXPECT_EQ(out.find("\"lane\""), std::string::npos);
   EXPECT_NE(out.find("\"target\":\"0xabc\""), std::string::npos);
   EXPECT_NE(out.find("\"repacks\":3"), std::string::npos);
 
   // Repack spans report bytes instead of a repack count, under cat mem.
   TraceSpan r = make_span(0, SpanKind::kRepack, 10, 5);
   r.detail = 4096;
-  r.shard = 0xffff;  // n/a maps to tid 0
   std::string rout;
   obs::append_chrome_events({r}, rout);
   EXPECT_NE(rout.find("\"cat\":\"mem\""), std::string::npos);
@@ -274,12 +267,11 @@ TEST(ServerTrace, DumpTraceFailsPreconditionWhenTracingIsOff) {
 
 // Every request traced at sample_n=1 leaves the full span
 // chain, the stage durations reconcile with the total, and the spans
-// carry the batch attributes the ISSUE promises (shard, flush, lane).
+// carry the batch attributes (flush reason, class, target).
 TEST(ServerTrace, TracedRequestsLeaveReconcilableStageSpans) {
   Rng rng(31);
   auto b = shared_weights(64, 64, rng);
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.trace_sample_n = 1;
   opt.max_wait_us = 100;
   Server server(opt);
@@ -333,12 +325,10 @@ TEST(ServerTrace, TracedRequestsLeaveReconcilableStageSpans) {
     EXPECT_LE(std::llabs(static_cast<long long>(end_of(SpanKind::kQueue)) -
                          static_cast<long long>(spans.at(SpanKind::kGather).ts_us)),
               2);
-    // Attributes: one shard, a real flush reason and lane on the
-    // execute span, class consistent with the row count.
+    // Attributes: a real flush reason on the execute span, class
+    // consistent with the row count.
     const TraceSpan& exec = spans.at(SpanKind::kExecute);
-    EXPECT_EQ(exec.shard, 0);
     EXPECT_NE(exec.flush, obs::kNoAttr);
-    EXPECT_EQ(exec.lane, obs::ExecLane::kCoalesce);
     EXPECT_EQ(exec.cls, exec.rows <= 1 ? 0 : 1);
     EXPECT_EQ(exec.target, static_cast<std::uint64_t>(
                                reinterpret_cast<std::uintptr_t>(b.get())));
@@ -361,7 +351,6 @@ TEST(ServerTrace, SamplingTracesExactlyOneInN) {
   Rng rng(33);
   auto b = shared_weights(64, 64, rng);
   ServerOptions opt;
-  opt.num_shards = 1;
   opt.trace_sample_n = 4;
   Server server(opt);
   constexpr int kRequests = 40;
